@@ -360,28 +360,41 @@ class FileTable:
     # ------------------------------------------------------------------
 
     def fork_cow(self) -> "FileTable":
-        """Logical copy: shared flushed inodes, private overlay/positions."""
-        clone = FileTable(self.hostfs, self.policy, self.audit, self.stats)
+        """Logical copy: shared flushed inodes, private overlay/positions.
+
+        Built without ``__init__``, which would re-materialise every
+        backing file only for the copies to be thrown away.
+        """
+        clone = FileTable.__new__(FileTable)
+        clone.hostfs = self.hostfs
+        clone.policy = self.policy
+        clone.audit = self.audit
+        clone.stats = self.stats
+        clone.block_size = self.block_size
+        clone._fds = fds = {}
+        for fd, of in self._fds.items():
+            fds[fd] = _OpenFile(of.path, of.ino, of.pos, of.writable)
+        clone._namespace = self._namespace.copy()
+        for fdata in self._inodes.values():
+            fdata.refcount += 1
+        clone._inodes = self._inodes.copy()
+        clone._working = working = {}
+        copied = 0
+        for ino, work in self._working.items():
+            working[ino] = bytearray(work)
+            copied += len(work)
+        clone.cow_bytes = copied
+        self.stats.cow_bytes += copied
+        clone._pending = pending = {}
+        for ino, recs in self._pending.items():
+            pending[ino] = list(recs)
+        clone._oplog = self._oplog.copy()
+        clone._base_ns = self._base_ns.copy()
+        clone._base = self._base.copy()  # immutable bytes, shared
+        clone._crash = self._crash.fork() if self._crash is not None else None
         clone._next_fd = self._next_fd
         clone._next_ino = self._next_ino
         clone._next_seq = self._next_seq
-        clone._namespace = dict(self._namespace)
-        clone._base_ns = dict(self._base_ns)
-        clone._base = dict(self._base)  # immutable bytes, shared
-        for fdata in self._inodes.values():
-            fdata.refcount += 1
-        clone._inodes = dict(self._inodes)
-        for ino, work in self._working.items():
-            clone._working[ino] = bytearray(work)
-            clone.cow_bytes += len(work)
-            self.stats.cow_bytes += len(work)
-        clone._pending = {ino: list(recs)
-                          for ino, recs in self._pending.items()}
-        clone._oplog = list(self._oplog)
-        for fd, of in self._fds.items():
-            clone._fds[fd] = _OpenFile(of.path, of.ino, of.pos, of.writable)
-        if self._crash is not None:
-            clone._crash = self._crash.fork()
         return clone
 
     def free(self) -> None:

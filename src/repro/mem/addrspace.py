@@ -8,7 +8,9 @@ locality effects are real consequences of guest behaviour rather than
 modelled numbers.
 
 Snapshots are built on :meth:`AddressSpace.fork_cow`, which produces a
-logical copy in O(1) by sharing the page-table root.  Demand-zero pages
+logical copy in O(1) by sharing the page-table root; the TLB is
+write-protected rather than flushed, and the copy inherits its read
+translations, so a restored space starts warm.  Demand-zero pages
 are implemented as COW mappings of a single pool-wide zero frame, which
 unifies the fault path: first write to a fresh page and first write to a
 snapshot-shared page take the same copy-on-write route.
@@ -76,12 +78,13 @@ class AddressSpace:
         pool: FramePool,
         name: Optional[str] = None,
         _table: Optional[PageTable] = None,
+        _tlb: Optional[TLB] = None,
     ):
         self.pool = pool
         self.asid = next(_as_ids)
         self.name = name or f"as{self.asid}"
         self.table = _table if _table is not None else PageTable(pool)
-        self.tlb = TLB()
+        self.tlb = _tlb if _tlb is not None else TLB()
         self.faults = FaultStats()
         #: Pages written since the last snapshot point (cleared by the
         #: dirty-eager snapshot manager; maintained on the write-fault
@@ -399,16 +402,18 @@ class AddressSpace:
         """Create a logical copy of this address space in O(1).
 
         Both this space and the copy become copy-on-write: the first write
-        either side makes to a shared page copies it.  This space's TLB is
-        flushed (the software equivalent of the TLB shootdown that
-        write-protecting the PTEs would require on hardware).
+        either side makes to a shared page copies it.  The fork changes no
+        mapping, so the TLB shootdown only write-protects this space's
+        cached entries (what write-protecting the PTEs would require on
+        hardware); the copy starts with the same read translations, warm.
         """
-        clone = AddressSpace(self.pool, name=name, _table=self.table.clone())
+        clone = AddressSpace(
+            self.pool, name=name, _table=self.table.clone(), _tlb=self.tlb.fork()
+        )
         clone.brk_base = self.brk_base
         clone.brk_end = self.brk_end
         clone.mmap_next = self.mmap_next
         clone._zero_frame = self._zero_frame
-        self.tlb.flush()
         return clone
 
     def fork_eager(self, name: Optional[str] = None) -> "AddressSpace":

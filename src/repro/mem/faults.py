@@ -11,9 +11,8 @@ unresolvable faults propagating to the VMM as VM exits.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
-from repro.obs.registry import MetricsRegistry, metric_view
+from repro.obs.registry import MetricsRegistry
 
 
 class AccessKind(enum.Enum):
@@ -69,17 +68,12 @@ class FaultStats:
     copy-on-write, which is the paper's key cost metric for snapshot
     maintenance.
 
-    The counts are ``mem.*`` counters in an observability registry; the
-    attributes here are views over them (``faults.cow_faults += 1`` and
-    ``registry.get("mem.cow_faults").inc()`` are the same write).
+    Every fork and restore creates one of these, so the counters are
+    plain slotted ints; :attr:`registry` folds them into a ``mem.*``
+    observability registry when it is read.
     """
 
-    cow_faults = metric_view("cow_faults")
-    demand_zero_faults = metric_view("demand_zero_faults")
-    hard_faults = metric_view("hard_faults")
-    pages_copied = metric_view("pages_copied")
-    nodes_copied = metric_view("nodes_copied")
-    bytes_copied = metric_view("bytes_copied")
+    __slots__ = _FAULT_FIELDS
 
     def __init__(
         self,
@@ -89,24 +83,21 @@ class FaultStats:
         pages_copied: int = 0,
         nodes_copied: int = 0,
         bytes_copied: int = 0,
-        extra: Optional[dict] = None,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "mem",
     ):
-        self.registry = registry if registry is not None else MetricsRegistry(prefix)
-        self._metrics = {
-            name: self.registry.counter(f"{prefix}.{name}")
-            for name in _FAULT_FIELDS
-        }
-        for metric in self._metrics.values():
-            metric.reset()
         self.cow_faults = cow_faults
         self.demand_zero_faults = demand_zero_faults
         self.hard_faults = hard_faults
         self.pages_copied = pages_copied
         self.nodes_copied = nodes_copied
         self.bytes_copied = bytes_copied
-        self.extra: dict = extra if extra is not None else {}
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """A fresh ``mem.*`` registry holding the current counts."""
+        registry = MetricsRegistry("mem")
+        for name in _FAULT_FIELDS:
+            registry.counter(f"mem.{name}").value = getattr(self, name)
+        return registry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{name}={getattr(self, name)}" for name in _FAULT_FIELDS)
@@ -117,27 +108,14 @@ class FaultStats:
             return NotImplemented
         return all(
             getattr(self, name) == getattr(other, name) for name in _FAULT_FIELDS
-        ) and self.extra == other.extra
+        )
 
     def snapshot(self) -> "FaultStats":
         """Return an independent copy of the current counters."""
-        return FaultStats(
-            cow_faults=self.cow_faults,
-            demand_zero_faults=self.demand_zero_faults,
-            hard_faults=self.hard_faults,
-            pages_copied=self.pages_copied,
-            nodes_copied=self.nodes_copied,
-            bytes_copied=self.bytes_copied,
-            extra=dict(self.extra),
-        )
+        return FaultStats(*(getattr(self, name) for name in _FAULT_FIELDS))
 
     def delta(self, earlier: "FaultStats") -> "FaultStats":
         """Return counters accumulated since *earlier* was captured."""
         return FaultStats(
-            cow_faults=self.cow_faults - earlier.cow_faults,
-            demand_zero_faults=self.demand_zero_faults - earlier.demand_zero_faults,
-            hard_faults=self.hard_faults - earlier.hard_faults,
-            pages_copied=self.pages_copied - earlier.pages_copied,
-            nodes_copied=self.nodes_copied - earlier.nodes_copied,
-            bytes_copied=self.bytes_copied - earlier.bytes_copied,
+            *(getattr(self, name) - getattr(earlier, name) for name in _FAULT_FIELDS)
         )

@@ -1,12 +1,15 @@
 """Software TLB model.
 
-A real implementation of lightweight snapshots must invalidate cached
-translations when a snapshot is taken (so the next write faults and COWs)
-and when one is restored (the address space just changed wholesale).  We
-model that explicitly: the :class:`TLB` caches ``vpn -> TLBEntry`` and the
-address space flushes it at the same points hardware would require a TLB
-shootdown.  Hit/miss/flush counters feed the F2 architecture accounting
-benchmark.
+A real implementation of lightweight snapshots must keep cached
+translations coherent when a snapshot is taken or restored.  Both are
+copy-on-write forks, and a fork changes no mapping: it only takes write
+permission away from the frames the two sides now share.  The shootdown
+a fork needs is therefore a *write-protect* one (:meth:`TLB.fork`): the
+parent's writable entries lose write permission, every read translation
+stays, and the child starts with the same read-only entries.  Unmap and
+protection changes still invalidate single pages, and freeing a space
+flushes everything.  Hit/miss/flush counters feed the F2 architecture
+accounting benchmark.
 
 The TLB also gives the pure-Python simulator an important fast path: a hit
 avoids the 4-level radix walk entirely.
@@ -54,6 +57,8 @@ class TLB:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity
         self._entries: dict[int, TLBEntry] = {}
+        #: VPNs whose entry is ``writable``: the write-protect worklist.
+        self._writable: set[int] = set()
         self.stats = TLBStats()
 
     def lookup(self, vpn: int) -> Optional[TLBEntry]:
@@ -67,21 +72,48 @@ class TLB:
 
     def insert(self, vpn: int, entry: TLBEntry) -> None:
         """Cache a translation, evicting if at capacity."""
-        if vpn not in self._entries and len(self._entries) >= self.capacity:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+        entries = self._entries
+        if vpn not in entries and len(entries) >= self.capacity:
+            oldest = next(iter(entries))
+            del entries[oldest]
+            self._writable.discard(oldest)
             self.stats.evictions += 1
-        self._entries[vpn] = entry
+        entries[vpn] = entry
+        if entry.writable:
+            self._writable.add(vpn)
+        else:
+            self._writable.discard(vpn)
 
     def invalidate(self, vpn: int) -> None:
         """Drop the cached translation for one page (INVLPG)."""
         if self._entries.pop(vpn, None) is not None:
+            self._writable.discard(vpn)
             self.stats.invalidations += 1
 
     def flush(self) -> None:
         """Drop every cached translation (CR3 reload / shootdown)."""
         self._entries.clear()
+        self._writable.clear()
         self.stats.flushes += 1
+
+    def fork(self) -> "TLB":
+        """Write-protect shootdown for a copy-on-write fork.
+
+        Every writable entry loses write permission (its frame is now
+        shared with the fork) and every read translation stays: Python
+        work is O(writable entries), plus one C-level copy of the entry
+        map for the fork.  Counts as one flush.  Returns the fork's TLB,
+        warm with the same read-only entries.
+        """
+        entries = self._entries
+        for vpn in self._writable:
+            frame, perms, _ = entries[vpn]
+            entries[vpn] = TLBEntry(frame, perms, False)
+        self._writable.clear()
+        self.stats.flushes += 1
+        clone = TLB(self.capacity)
+        clone._entries = entries.copy()
+        return clone
 
     def __len__(self) -> int:
         return len(self._entries)

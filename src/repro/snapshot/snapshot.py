@@ -9,9 +9,11 @@ copies it away from the snapshot.
 
 Cost model (matching §4 of the paper):
 
-* ``take``    -- O(1): page-table root sharing + register copy.
-* ``restore`` -- O(1): fork the snapshot's space, copy registers, flush
-  the TLB.  Subsequent writes pay per-page COW faults.
+* ``take``    -- O(1): page-table root sharing + register copy; the
+  running space's TLB loses write permission, not its translations.
+* ``restore`` -- O(1): fork the snapshot's space (sharing its root and
+  inheriting its read translations, so the TLB starts warm) and copy
+  registers.  Subsequent writes pay per-page COW faults.
 * ``discard`` -- O(private pages): releases only the frames the snapshot
   does not share with its relatives.
 """

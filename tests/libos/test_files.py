@@ -7,6 +7,7 @@ from repro.libos.files import (
     EACCES,
     EBADF,
     ENOENT,
+    FileData,
     FileTable,
     HostFS,
     O_CREAT,
@@ -190,6 +191,28 @@ class TestForkCow:
         a.fsync(fd)  # flushing stays private too (COW of the inode)
         assert b.contents("/data/input") == b"0123456789"
         assert a.contents("/data/input") == b"AAAA456789"
+
+    def test_fork_copies_no_backing_bytes(self, monkeypatch):
+        """A fork costs O(open files + dirty blocks), not O(backing
+        bytes): a large backing file is shared, never re-materialised."""
+        big = bytes(range(256)) * 4096  # 1 MiB
+        table = FileTable(HostFS({"/big": big}), PermissivePolicy())
+        fd = table.open("/big", O_RDONLY)
+        cow_bytes = table.stats.cow_bytes
+        constructed = []
+        init = FileData.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FileData, "__init__", counting_init)
+        child = table.fork_cow()
+        assert constructed == []
+        assert table.stats.cow_bytes == cow_bytes
+        assert child.cow_bytes == 0
+        assert child.read(fd, 4) == big[:4]
+        assert child.contents("/big") == big
 
 
 def small_table(files=None, block_size=4):

@@ -62,3 +62,37 @@ class TestTLB:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             TLB(capacity=0)
+
+
+class TestForkShootdown:
+    def test_fork_write_protects_and_keeps_reads(self):
+        pool = FramePool()
+        tlb = TLB()
+        ro = TLBEntry(pool.alloc(), Permission.READ, writable=False)
+        tlb.insert(1, ro)
+        tlb.insert(2, entry(pool))
+        child = tlb.fork()
+        assert tlb.stats.flushes == 1
+        for t in (tlb, child):
+            assert len(t) == 2
+            assert t._entries[1] is ro
+            assert not t._entries[2].writable
+        assert child.stats.misses == child.stats.flushes == 0
+
+    def test_fork_is_independent(self):
+        pool = FramePool()
+        tlb = TLB()
+        tlb.insert(1, entry(pool))
+        child = tlb.fork()
+        child.invalidate(1)
+        child.insert(2, entry(pool))
+        assert len(tlb) == 1 and 2 not in tlb._entries
+        assert not tlb._entries[1].writable
+
+    def test_evicted_writable_entry_leaves_no_worklist_entry(self):
+        pool = FramePool()
+        tlb = TLB(capacity=1)
+        tlb.insert(1, entry(pool))
+        tlb.insert(2, TLBEntry(pool.alloc(), Permission.READ, writable=False))
+        tlb.fork()  # must not look up the evicted vpn 1
+        assert list(tlb._entries) == [2]

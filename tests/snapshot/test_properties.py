@@ -12,7 +12,10 @@ the core invariants, no matter what happens around them:
   are views of the *same* numbers (the PR-1 migration contract);
 * a discarded snapshot can never be restored, and a double discard is a
   typed error — the Silhouette bug-8 shape (operating on freed snapshot
-  state) must be impossible to reach silently.
+  state) must be impossible to reach silently;
+* every cached TLB entry is coherent with its space's page table: a fork
+  keeps read translations warm, so a stale entry would otherwise read a
+  sibling's bytes through the ``read_word``/``read_byte`` fast paths.
 """
 
 import pytest
@@ -80,6 +83,24 @@ class SnapshotInvariants(RuleBasedStateMachine):
             return
         self.manager.discard(snap)
 
+    @rule(
+        idx=st.integers(0, 63),
+        offset=st.integers(0, SIZE - 8),
+        value=st.integers(0, (1 << 64) - 1),
+    )
+    def fast_path_access(self, idx, offset, value):
+        """Read through the TLB fast paths, then write through them."""
+        space, model = self.spaces[idx % len(self.spaces)]
+        addr = BASE + offset
+        assert space.read_word(addr) == int.from_bytes(
+            model[offset : offset + 8], "little"
+        )
+        assert space.read_byte(addr) == model[offset]
+        space.write_word(addr, value)
+        model[offset : offset + 8] = value.to_bytes(8, "little")
+        space.write_byte(addr + 7, value & 0xFF)
+        model[offset + 7] = value & 0xFF
+
     # -- lifecycle misuse must be loud, never silent -------------------
 
     @rule(idx=st.integers(0, 63))
@@ -128,6 +149,20 @@ class SnapshotInvariants(RuleBasedStateMachine):
             assert space.read(BASE + off, PAGE_SIZE) == bytes(
                 model[off : off + PAGE_SIZE]
             )
+
+    @invariant()
+    def tlb_entries_are_coherent(self):
+        """Every cached translation names the frame the page table maps,
+        and only an exclusively owned frame is cached writable."""
+        spaces = [space for space, _ in self.spaces]
+        spaces += [snap.space for snap, _ in self.snaps if snap.alive]
+        for space in spaces:
+            for vpn, entry in space.tlb._entries.items():
+                pte = space.table.lookup(vpn)
+                assert pte is not None
+                assert entry.frame is pte.frame
+                if entry.writable:
+                    assert entry.frame.refcount == 1
 
     @invariant()
     def lifecycle_counters_never_drift(self):
