@@ -13,7 +13,9 @@ different substrates:
 * :class:`MachineEngine` (:mod:`repro.core.machine`) -- runs *assembly
   guests* on the simulated CPU behind the full Figure 2 stack: VM exits,
   libOS, true O(1) lightweight snapshots with COW restore.  This is the
-  faithful reproduction of the paper's design.
+  faithful reproduction of the paper's design.  It and the other
+  machine-guest engines (parallel, replay, process) share one
+  extension-stepping kernel, :mod:`repro.core.stepper`.
 * :class:`PosixEngine` (:mod:`repro.core.posix`) -- runs Python guests
   with genuine kernel copy-on-write via ``os.fork`` (the §3 approach the
   paper critiques, made safe enough for demos).

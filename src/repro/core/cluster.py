@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from repro.core.errors import GuessError, ReplayDivergenceError
+from repro.core.errors import ReplayDivergenceError
 from repro.core.lease import LeaseTable
 from repro.core.transport import (
     EndpointDown,
@@ -72,6 +72,7 @@ from repro.core.journal import (
     recover,
 )
 from repro.core.result import SearchResult, SearchStats, Solution
+from repro.core.stepper import Stepper
 from repro.core.supervisor import (
     SlotState,
     SupervisorPolicy,
@@ -79,15 +80,7 @@ from repro.core.supervisor import (
 )
 from repro.cpu.assembler import Program, assemble
 from repro.libos.files import HostFS
-from repro.libos.libos import ExecState, LibOS
-from repro.libos.syscalls import (
-    ContinueAction,
-    ExitAction,
-    GuessAction,
-    GuessFailAction,
-    KillAction,
-    StrategyAction,
-)
+from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
 from repro.obs import events as _events
 from repro.obs.live import (
@@ -101,9 +94,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.status import HeartbeatRecord, RunStatus
 from repro.obs.trace import TRACER as _TRACER, MemorySink
 from repro.search import get_strategy
-from repro.search.extension import Extension
 from repro.search.shard import PrefixTask, TaskFrontier, spill_extension
-from repro.snapshot.snapshot import Snapshot, SnapshotManager
+from repro.snapshot.snapshot import SnapshotManager
 from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
 
@@ -191,52 +183,17 @@ class ClusterConfig:
 # ----------------------------------------------------------------------
 
 
-class _Candidate:
-    """Worker-local partial candidate: snapshot + full path + fanouts.
-
-    Unlike :class:`MachineEngine`'s candidate, this one keeps the fanout
-    chain so any unevaluated extension can be converted back into a
-    replayable :class:`PrefixTask` at spill time — local snapshot state
-    is always *rebuildable*, which is what makes it safe to throw away.
-    """
-
-    __slots__ = ("snapshot", "path", "fanouts", "n", "console")
-
-    def __init__(self, snapshot: Snapshot, path: tuple[int, ...],
-                 fanouts: tuple[int, ...], n: int, console):
-        self.snapshot = snapshot
-        self.path = path
-        self.fanouts = fanouts
-        self.n = n
-        self.console = console
-
-
-@dataclass
-class _Pending:
-    """The extension step currently executing in the worker."""
-
-    state: ExecState
-    path: tuple[int, ...]
-    fanouts: tuple[int, ...]
-    parent: Optional[_Candidate]
-    steps_used: int = 0
-    #: Guest instructions of ``steps_used`` spent replaying the task
-    #: prefix (the rest is fresh exploration; the split is what the
-    #: profiler charges as rehydration overhead).
-    replay_steps: int = 0
-    #: Guess outcomes still to feed from the task prefix (replay mode
-    #: while nonzero remain).
-    replay_pos: int = 0
-
-
 class _SubtreeWorker:
     """One worker's engine stack: rehydrate a task, explore its subtree.
 
     Created once per worker process; :meth:`explore` is called per task.
-    All snapshot state is torn down at the end of every task, so frames
-    never accumulate across tasks and the registry gauges return to
-    zero between result messages (which is what makes delta-shipping the
-    registry sound).
+    The stepping is the machine engines' :class:`Stepper`; this class is
+    the cluster's policy over it — prefix rehydration of the task root,
+    the spill predicate, and turning the leftover local frontier back
+    into replayable :class:`PrefixTask` roots.  All snapshot state is
+    torn down at the end of every task, so frames never accumulate
+    across tasks and the registry gauges return to zero between result
+    messages (which is what makes delta-shipping the registry sound).
     """
 
     def __init__(self, program: Program, config: ClusterConfig,
@@ -263,8 +220,17 @@ class _SubtreeWorker:
         self.pool = FramePool()
         self.registry = MetricsRegistry("cluster-worker")
         self.manager = SnapshotManager(self.pool, registry=self.registry)
-        self.vcpu = VCpu()
         self.stats = SearchStats(registry=self.registry)
+        self.stepper = Stepper(
+            self.libos, self.pool, VCpu(), config.strategy,
+            manager=self.manager,
+            max_steps_per_extension=config.max_steps_per_extension,
+            recorder=self.recorder,
+        )
+        # Guest strategy selection is coordinator policy in the cluster
+        # engine; acknowledge and ignore.
+        self.stepper.allow_guest_strategy = False
+        self.stepper.verdict = self._divergence_verdict
         self._steps_counter = self.registry.counter("parallel.guest_steps")
         self._replay_counter = self.registry.counter("parallel.replay_steps")
         self._task_timer = self.registry.timer("parallel.task_time")
@@ -272,22 +238,29 @@ class _SubtreeWorker:
         # ship per-task deltas so the coordinator sees copy totals.
         self._frames_copied = self.registry.counter("mem.frames_copied")
         self._spills_counter = self.registry.counter("parallel.worker_spills")
-        self._last_copied = 0
-        #: Heartbeat hook called between extension evaluations (set by
-        #: ``_worker_main`` when live telemetry is on; it is rate-limited
-        #: internally, so calling it often is cheap).
-        self.heartbeat: Optional[Callable[[], None]] = None
+        self._last_copied = self._last_explored = self._last_replayed = 0
+
+    @property
+    def _explored(self) -> int:
+        """Guest instructions of fresh exploration over the worker's life."""
+        stepper = self.stepper
+        return stepper.vcpu.vmcs.guest_instructions - stepper.replayed
 
     def sync_frame_stats(self) -> None:
-        """Mirror the pool's copy count into the registry.
+        """Mirror the pool's copy count and the stepper's instruction
+        counts into the registry.
 
         Called at every task end and before every heartbeat, so mid-task
-        uncommitted registry states carry the COW work done so far.
+        uncommitted registry states carry the work done so far.
         """
         copied = self.pool.stats.copied
         if copied != self._last_copied:
             self._frames_copied.inc(copied - self._last_copied)
             self._last_copied = copied
+        explored, replayed = self._explored, self.stepper.replayed
+        self._steps_counter.inc(explored - self._last_explored)
+        self._replay_counter.inc(replayed - self._last_replayed)
+        self._last_explored, self._last_replayed = explored, replayed
 
     def _divergence_verdict(self, pc: int) -> Optional[str]:
         """The static analyzer's take on a replay divergence at *pc*."""
@@ -318,278 +291,93 @@ class _SubtreeWorker:
         enter (budget exceedances and solution-budget early stops).
         """
         with self._task_timer.time():
-            return self._explore(task, solutions_budget)
+            cfg = self.config
+            stepper = self.stepper
+            stepper.begin(self.program, self.stats)
+            stepper.strategy = get_strategy(cfg.strategy)
+            stepper.tree = tree = SnapshotTree(self.manager)
+            spilled: list[PrefixTask] = []
+            explored_before = self._explored
 
-    def _explore(self, task: PrefixTask, solutions_budget: Optional[int]):
-        cfg = self.config
-        strategy = get_strategy(cfg.strategy)
-        tree = SnapshotTree(self.manager)
-        solutions: list[tuple[tuple[int, ...], int, str]] = []
-        spilled: list[PrefixTask] = []
-        explore_steps = 0
+            def budget_spent() -> Optional[str]:
+                if (
+                    solutions_budget is not None
+                    and len(stepper.solutions) >= solutions_budget
+                ):
+                    return "max_solutions"
+                if (
+                    cfg.task_step_budget is not None
+                    and self._explored - explored_before
+                    >= cfg.task_step_budget
+                ):
+                    return "task_step_budget"
+                return None
 
-        state, regs = self.libos.load(self.program, self.pool)
-        self.vcpu.regs.load(regs.frozen())
-        if self.recorder is not None:
-            # Rehydration restarts at the root segment; nondet events
-            # recorded along the prefix replay under their original keys.
-            self.recorder.begin_segment(())
-        self.stats.evaluations += 1
-        pending = _Pending(state, task.prefix, task.fanouts, None)
-
-        def over_budget() -> bool:
-            return (
-                cfg.task_step_budget is not None
-                and explore_steps >= cfg.task_step_budget
-            )
-
-        def finish(pending: _Pending) -> None:
-            pending.state.free()
-            if pending.parent is not None:
-                tree.unpin(pending.parent.snapshot)
-
-        def handle_guess(action: GuessAction, pending: _Pending) -> None:
-            n = action.n
-            if action.hints is not None and len(action.hints) != n:
-                raise GuessError("hint vector length does not match fan-out")
-            if n == 0:
-                self.stats.fails += 1
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_FAIL, depth=len(pending.path),
-                        path=list(pending.path),
-                        steps=pending.steps_used - pending.replay_steps,
-                        replay_steps=pending.replay_steps,
-                    )
-                finish(pending)
-                return
-            hints = tuple(action.hints) if action.hints is not None else None
-            local_depth = len(pending.path) - task.depth
-            if (
-                (cfg.subtree_depth is not None
-                 and local_depth >= cfg.subtree_depth)
-                or over_budget()
-                or (solutions_budget is not None
-                    and len(solutions) >= solutions_budget)
-            ):
+            def spill(path, fanouts, n, hints) -> bool:
                 # Outside this task's budget: hand the whole choice point
                 # back to the coordinator as replayable subtree roots.
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_SPILL, depth=len(pending.path), n=n,
-                        path=list(pending.path),
-                        steps=pending.steps_used - pending.replay_steps,
-                        replay_steps=pending.replay_steps,
-                    )
-                spilled.extend(
-                    spill_extension(pending.path, pending.fanouts, n, hints,
-                                    span=task.span)
-                )
-                finish(pending)
-                return
-            parent_snap = pending.parent.snapshot if pending.parent else None
-            snap = self.manager.take(
-                pending.state.space,
-                regs=self.vcpu.regs.frozen(),
-                files=pending.state.files,
-                parent=parent_snap if parent_snap and parent_snap.alive else None,
-            )
-            cand = _Candidate(snap, pending.path, pending.fanouts, n,
-                              pending.state.console.fork_cow())
-            tree.add(snap)
-            tree.pin(snap, n)
-            self.stats.candidates += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_GUESS, n=n, depth=len(pending.path),
-                    sid=snap.sid, path=list(pending.path),
-                    steps=pending.steps_used - pending.replay_steps,
-                    replay_steps=pending.replay_steps,
-                )
-            strategy.add(
-                Extension(
-                    cand,
-                    number=i,
-                    hint=hints[i] if hints is not None else None,
-                    depth=len(pending.path),
-                )
-                for i in range(n)
-            )
-            finish(pending)
-
-        def run_pending(pending: _Pending) -> None:
-            nonlocal explore_steps
-            prefix = task.prefix
-            replaying = pending.replay_pos < len(prefix)
-            while True:
-                budget = self.config.max_steps_per_extension - pending.steps_used
-                self.vcpu.attach(pending.state.space)
-                exit_event = self.vcpu.enter(max_steps=max(budget, 1))
-                pending.steps_used += exit_event.steps
-                if replaying:
-                    self._replay_counter.inc(exit_event.steps)
-                    pending.replay_steps += exit_event.steps
-                else:
-                    self._steps_counter.inc(exit_event.steps)
-                    explore_steps += exit_event.steps
-                action = self.libos.handle_exit(exit_event, self.vcpu,
-                                                pending.state)
-                if isinstance(action, ContinueAction):
-                    if pending.steps_used >= self.config.max_steps_per_extension:
-                        self.stats.kills += 1
-                        if _TRACER.enabled:
-                            _TRACER.emit(
-                                _events.SEARCH_KILL, depth=len(pending.path),
-                                path=list(pending.path),
-                                steps=pending.steps_used - pending.replay_steps,
-                                replay_steps=pending.replay_steps,
-                            )
-                        finish(pending)
-                        return
-                    if self.heartbeat is not None:
-                        self.heartbeat()
-                    continue
-                if isinstance(action, StrategyAction):
-                    # Guest strategy selection is coordinator policy in
-                    # the cluster engine; acknowledge and ignore.
-                    continue
-                if isinstance(action, GuessAction):
-                    if pending.replay_pos < len(prefix):
-                        pos = pending.replay_pos
-                        if action.n != pending.fanouts[pos]:
-                            # rip already points past the 1-byte SYSCALL.
-                            pc = self.vcpu.regs.rip - 1
-                            raise ReplayDivergenceError(
-                                "nondeterministic guest: replayed guess "
-                                f"had fan-out {pending.fanouts[pos]}, "
-                                f"now {action.n}",
-                                prefix=prefix,
-                                position=pos,
-                                pc=pc,
-                                expected=pending.fanouts[pos],
-                                actual=action.n,
-                                verdict=self._divergence_verdict(pc),
-                            )
-                        self.vcpu.regs.rax = prefix[pos]
-                        pending.replay_pos = pos + 1
-                        self.stats.replayed_decisions += 1
-                        if self.recorder is not None:
-                            self.recorder.begin_segment(prefix[:pos + 1])
-                        replaying = pending.replay_pos < len(prefix)
-                        continue
-                    handle_guess(action, pending)
-                    return
-                if pending.replay_pos < len(prefix):
-                    pc = self.vcpu.regs.rip - 1
-                    raise ReplayDivergenceError(
-                        "nondeterministic guest: path ended during "
-                        f"replay of a prefix of length {len(prefix)}",
-                        prefix=prefix,
-                        position=pending.replay_pos,
-                        pc=pc,
-                        verdict=self._divergence_verdict(pc),
-                    )
-                if isinstance(action, GuessFailAction):
-                    self.stats.fails += 1
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_FAIL, depth=len(pending.path),
-                            path=list(pending.path),
-                            steps=pending.steps_used - pending.replay_steps,
-                            replay_steps=pending.replay_steps,
-                        )
-                    finish(pending)
-                    return
-                if isinstance(action, ExitAction):
-                    self.stats.completions += 1
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_SOLUTION,
-                            depth=len(pending.path),
-                            path=list(pending.path),
-                            steps=pending.steps_used - pending.replay_steps,
-                            replay_steps=pending.replay_steps,
-                        )
-                    solutions.append(
-                        (pending.path, action.status,
-                         pending.state.console.text)
-                    )
-                    finish(pending)
-                    return
-                if isinstance(action, KillAction):
-                    self.stats.kills += 1
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_KILL, depth=len(pending.path),
-                            path=list(pending.path),
-                            steps=pending.steps_used - pending.replay_steps,
-                            replay_steps=pending.replay_steps,
-                        )
-                    finish(pending)
-                    return
-                raise AssertionError(f"unhandled action {action!r}")  # pragma: no cover
-
-        run_pending(pending)
-        while True:
-            if self.heartbeat is not None:
-                self.heartbeat()
-            if (
-                solutions_budget is not None
-                and len(solutions) >= solutions_budget
-            ) or over_budget():
-                break
-            ext = strategy.next()
-            if ext is None:
-                break
-            self.stats.evaluations += 1
-            cand: _Candidate = ext.candidate
-            regs2, space, files = self.manager.restore(cand.snapshot)
-            self.vcpu.regs.load(regs2)
-            self.vcpu.regs.rax = ext.number
-            if self.recorder is not None:
-                self.recorder.begin_segment(cand.path + (ext.number,))
-            run_pending(
-                _Pending(
-                    ExecState(space, files, cand.console.fork_cow()),
-                    cand.path + (ext.number,),
-                    cand.fanouts + (cand.n,),
-                    cand,
-                    replay_pos=len(task.prefix),
-                )
-            )
-
-        # Convert whatever local frontier remains into replayable tasks
-        # and unwind its pins so the snapshot tree (and its frames) die.
-        while True:
-            ext = strategy.next()
-            if ext is None:
-                break
-            cand = ext.candidate
-            spilled.append(
-                PrefixTask(
-                    prefix=cand.path + (ext.number,),
-                    fanouts=cand.fanouts + (cand.n,),
-                    hint=ext.hint,
+                if not (
+                    (cfg.subtree_depth is not None
+                     and len(path) - task.depth >= cfg.subtree_depth)
+                    or budget_spent() is not None
+                ):
+                    return False
+                spilled.extend(spill_extension(
+                    path, fanouts, n,
+                    tuple(hints) if hints is not None else None,
                     span=task.span,
+                ))
+                return True
+
+            def stop() -> Optional[str]:
+                if stepper.heartbeat is not None:
+                    stepper.heartbeat()
+                return budget_spent()
+
+            stepper.spill = spill
+            stepper.run(stepper.boot(task.prefix, task.fanouts))
+            stepper.explore(stop)
+
+            # Convert whatever local frontier remains into replayable
+            # tasks and unwind its pins so the snapshot tree (and its
+            # frames) die.
+            while True:
+                ext = stepper.strategy.next()
+                if ext is None:
+                    break
+                cand = ext.candidate
+                spilled.append(
+                    PrefixTask(
+                        prefix=cand.path + (ext.number,),
+                        fanouts=cand.fanouts + (cand.n,),
+                        hint=ext.hint,
+                        span=task.span,
+                    )
                 )
-            )
-            tree.unpin(cand.snapshot)
-        # Worker-local frontier peaks are per-task numbers; summing them
-        # through the gauge merge would be meaningless, so the engine's
-        # peak_frontier reports the coordinator task frontier instead.
-        self.sync_frame_stats()
-        if spilled:
-            self._spills_counter.inc(len(spilled))
-        return solutions, spilled
+                tree.unpin(cand.snapshot)
+            # Worker-local frontier peaks are per-task numbers; summing
+            # them through the gauge merge would be meaningless, so the
+            # engine's peak_frontier reports the coordinator task
+            # frontier instead.
+            self.sync_frame_stats()
+            if spilled:
+                self._spills_counter.inc(len(spilled))
+            solutions = [
+                (s.path, s.value[0], s.value[1]) for s in stepper.solutions
+            ]
+            return solutions, spilled
 
 
 #: Seconds between an idle worker's re-announcements of its steal
 #: capacity.  Over a pipe the first announcement always arrives; over a
 #: chaos-injected network a ``steal`` (or the ``work`` answering it) can
 #: be dropped, and the periodic re-announcement is what un-wedges the
-#: run: the coordinator treats a steal from a worker it believes busy as
-#: proof the worker's results were lost, reclaims the leases, and
-#: re-dispatches.
+#: run.  Each steal carries the highest fence the worker has received, so
+#: the coordinator can tell a steal that crossed its latest batch in
+#: flight (ignored once) from one by a worker that has seen every batch
+#: and still reports idle (its results were lost) or that re-announced
+#: without ever seeing the batch (the work frame was lost); only the
+#: last two reclaim the leases and re-dispatch.
 _STEAL_REANNOUNCE_S = 1.0
 
 
@@ -618,8 +406,10 @@ def _worker_main(worker_id: int, conn, program: Program,
             conn, worker_id, worker.registry, config.heartbeat_interval,
             ring=ring, sync=worker.sync_frame_stats,
         )
+    #: Highest fence received in a batch: stamped on every steal.
+    seen_fence = 0
     try:
-        conn.send(("steal", worker_id, config.steal_batch))
+        conn.send(("steal", worker_id, config.steal_batch, seen_fence))
         last_steal = time.monotonic()
         while True:
             # Wait for work; heartbeat through idle waits (so the
@@ -635,7 +425,8 @@ def _worker_main(worker_id: int, conn, program: Program,
                     emitter.beat(phase="idle", force=True)
                 now = time.monotonic()
                 if now - last_steal >= _STEAL_REANNOUNCE_S:
-                    conn.send(("steal", worker_id, config.steal_batch))
+                    conn.send(("steal", worker_id, config.steal_batch,
+                               seen_fence))
                     last_steal = now
             msg = conn.recv()
             if msg is None:
@@ -644,6 +435,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                     and msg[0] == "work"):
                 continue  # duplicated/unknown control frame: ignore
             _, batch, solutions_budget, shipped_events = msg
+            seen_fence = max([seen_fence] + [t.fence for t in batch])
             if worker.recorder is not None and shipped_events:
                 worker.recorder.log.merge(shipped_events)
             for task in batch:
@@ -657,7 +449,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                     # Force a beat before the fault hook can kill us:
                     # the shipped ring (with task.begin) is what the
                     # flight recorder dumps for this death.
-                    worker.heartbeat = (
+                    worker.stepper.heartbeat = (
                         lambda t=task: emitter.beat(task=t.prefix, span=t.span)
                     )
                     emitter.beat(task=task.prefix, span=task.span, force=True)
@@ -684,7 +476,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                     )
                 state = worker.registry.state_dict()
                 if emitter is not None:
-                    worker.heartbeat = None
+                    worker.stepper.heartbeat = None
                     # Bank the lifetime counters this reset will zero.
                     emitter.note_task_result(state)
                 worker.registry.reset()
@@ -699,7 +491,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                     ("task", worker_id, task.key(), task.fence, solutions,
                      spilled, state, segment, fresh_events)
                 )
-            conn.send(("steal", worker_id, config.steal_batch))
+            conn.send(("steal", worker_id, config.steal_batch, seen_fence))
             last_steal = time.monotonic()
     except (EOFError, OSError, KeyboardInterrupt, ConnectionError):
         pass  # coordinator went away or shut us down hard
@@ -737,7 +529,8 @@ def tcp_worker(host: str, port: int) -> None:
 
 
 class _WorkerHandle:
-    __slots__ = ("ep", "slot_index", "pending", "last_progress", "want")
+    __slots__ = ("ep", "slot_index", "pending", "last_progress", "want",
+                 "crossed_steal")
 
     def __init__(self, ep, slot_index: int):
         #: The transport endpoint this worker is reached through.
@@ -750,6 +543,9 @@ class _WorkerHandle:
         self.last_progress = 0.0
         #: Outstanding steal capacity (0 = no unfulfilled steal).
         self.want = 0
+        #: A steal that predates the latest batch was already excused
+        #: as crossing it in flight (reset at every dispatch).
+        self.crossed_steal = False
 
     @property
     def wid(self) -> int:
@@ -1622,6 +1418,7 @@ class ProcessParallelEngine:
                     ]
                     handle.pending = list(granted)
                     handle.last_progress = time.monotonic()
+                    handle.crossed_steal = False
                     try:
                         handle.ep.send(("work", granted, remaining,
                                         batch_events(granted)))
@@ -1689,8 +1486,9 @@ class ProcessParallelEngine:
                             and not (len(msg) == 3
                                      and isinstance(msg[2], HeartbeatRecord)))
                         or (msg[0] == "steal"
-                            and not (len(msg) == 3
-                                     and isinstance(msg[2], int)))
+                            and not (len(msg) == 4
+                                     and isinstance(msg[2], int)
+                                     and isinstance(msg[3], int)))
                     ):
                         c_proto.inc()
                         fail_worker(slot, handle, "crash",
@@ -1698,13 +1496,23 @@ class ProcessParallelEngine:
                         continue
                     if msg[0] == "steal":
                         if handle.busy:
+                            latest = max(t.fence for t in handle.pending)
+                            if msg[3] < latest and not handle.crossed_steal:
+                                # Sent before the worker received its
+                                # latest batch: the two crossed in
+                                # flight, and the worker announces again
+                                # once that batch is done.
+                                handle.crossed_steal = True
+                                continue
                             # The worker says it is idle while the
-                            # coordinator still holds leases for it: its
-                            # results were lost in flight (dropped
-                            # frames, a reconnect).  Reclaim eagerly —
-                            # the requeue re-executes, and the revoked
-                            # fences turn any late duplicate delivery
-                            # into a discarded stale.
+                            # coordinator still holds leases for it:
+                            # either it saw every batch and the results
+                            # were lost, or it re-announced without
+                            # seeing the latest batch and the work was
+                            # lost (dropped frames, a reconnect).
+                            # Reclaim eagerly — the requeue re-executes,
+                            # and the revoked fences turn any late
+                            # duplicate delivery into a discarded stale.
                             reclaim(handle, "steal while leases held")
                         handle.want = msg[2]
                         if handle.wid not in steal_queue:
@@ -1746,7 +1554,12 @@ class ProcessParallelEngine:
                     (_kind, _wid, key, fence, task_solutions, spilled,
                      state, segment, fresh_events) = msg
                     key = tuple(key)
+                    # A result is progress on the whole batch: the
+                    # holder is alive and working through it in order,
+                    # so the stall timer and the batch-mates' leases
+                    # both restart, and a slow batch keeps its tail.
                     handle.last_progress = now
+                    leases.extend_worker(handle.wid, now)
                     if leases.settle(key, fence) == "stale":
                         # A fenced-off result: the lease expired (or the
                         # worker was declared down) and the task was

@@ -20,53 +20,28 @@ the available speedup on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.core.errors import GuessError
-from repro.core.result import SearchResult, SearchStats, Solution
+from repro.core.result import SearchResult, SearchStats
+from repro.core.stepper import Pending, Stepper
 from repro.cpu.assembler import Program, assemble
 from repro.interpose.policy import InterpositionPolicy
 from repro.libos.files import HostFS
-from repro.libos.libos import ExecState, LibOS
-from repro.libos.syscalls import (
-    ContinueAction,
-    ExitAction,
-    GuessAction,
-    GuessFailAction,
-    KillAction,
-    StrategyAction,
-)
+from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
-from repro.obs import events as _events
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TRACER as _TRACER
-from repro.search import Extension, Strategy, get_strategy
+from repro.search import Strategy
 from repro.snapshot.snapshot import SnapshotManager
-from repro.snapshot.tree import SnapshotTree
-from repro.vmm.vcpu import VCpu, VmExitReason
-from repro.core.machine import _Candidate  # shared candidate shape
-
-
-@dataclass
-class _Worker:
-    """One logical core: a vCPU plus its in-flight extension."""
-
-    vcpu: VCpu
-    state: Optional[ExecState] = None
-    path: tuple[int, ...] = ()
-    parent: Optional[_Candidate] = None
-    steps_used: int = 0
-    busy_turns: int = 0
-    idle_turns: int = 0
-
-    @property
-    def busy(self) -> bool:
-        return self.state is not None
+from repro.vmm.vcpu import VCpu
 
 
 class ParallelMachineEngine:
     """Round-robin multi-worker exploration over shared snapshots.
+
+    Each logical core is a vCPU with at most one in-flight extension;
+    all of them step through one :class:`~repro.core.stepper.Stepper`,
+    so they share its snapshot tree and strategy.  A turn is one
+    quantum (or one VM exit, whichever comes first) per busy core.
 
     Parameters
     ----------
@@ -91,23 +66,21 @@ class ParallelMachineEngine:
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
-        if isinstance(strategy, Strategy):
-            self._strategy = strategy
-        else:
-            self._strategy = get_strategy(strategy)
         self.quantum = quantum
         self.libos = LibOS(policy=policy, hostfs=hostfs)
         self.pool = FramePool()
         self.registry = MetricsRegistry("parallel-engine")
         self.manager = SnapshotManager(self.pool, registry=self.registry)
-        self.tree = SnapshotTree(self.manager)
-        self.max_steps_per_extension = max_steps_per_extension
         self.max_solutions = max_solutions
         icache: dict = {}
-        self.workers = [
-            _Worker(vcpu=VCpu(cpu_id=i, icache=icache)) for i in range(workers)
-        ]
-        self._locked = False
+        self.vcpus = [VCpu(cpu_id=i, icache=icache) for i in range(workers)]
+        self.stepper = Stepper(
+            self.libos, self.pool, self.vcpus[0], strategy,
+            manager=self.manager,
+            max_steps_per_extension=max_steps_per_extension,
+            quantum=quantum,
+        )
+        self.tree = self.stepper.tree
         #: Peak number of simultaneously busy workers (occupancy proof).
         self.peak_busy = 0
 
@@ -116,233 +89,62 @@ class ParallelMachineEngine:
     def run(self, guest: Union[str, Program]) -> SearchResult:
         program = assemble(guest) if isinstance(guest, str) else guest
         stats = SearchStats(registry=self.registry)
-        solutions: list[Solution] = []
+        stepper = self.stepper
+        stepper.begin(program, stats)
         stop_reason: Optional[str] = None
-        self._locked = False
-
-        state, regs = self.libos.load(program, self.pool)
-        boot = self.workers[0]
-        boot.vcpu.regs.load(regs.frozen())
-        boot.state = state
-        boot.path = ()
-        boot.parent = None
-        boot.steps_used = 0
-        stats.evaluations += 1
+        lanes: list[Optional[Pending]] = [None] * len(self.vcpus)
+        lanes[0] = stepper.boot()
+        busy_turns = idle_turns = 0
 
         while True:
             if (
                 self.max_solutions is not None
-                and len(solutions) >= self.max_solutions
+                and len(stepper.solutions) >= self.max_solutions
             ):
                 stop_reason = "max_solutions"
                 break
 
             # Refill idle workers from the strategy frontier.
-            for worker in self.workers:
-                if worker.busy:
+            for i, vcpu in enumerate(self.vcpus):
+                if lanes[i] is not None:
                     continue
-                ext = self._strategy.next()
+                ext = stepper.strategy.next()
                 if ext is None:
                     break
-                self._assign(worker, ext)
-                stats.evaluations += 1
+                lanes[i] = stepper.start(ext, vcpu)
 
-            busy = [w for w in self.workers if w.busy]
+            busy = [i for i, lane in enumerate(lanes) if lane is not None]
             self.peak_busy = max(self.peak_busy, len(busy))
             if not busy:
                 break
-            for worker in self.workers:
-                if worker.busy:
-                    worker.busy_turns += 1
-                else:
-                    worker.idle_turns += 1
+            busy_turns += len(busy)
+            idle_turns += len(lanes) - len(busy)
+            for i in busy:
+                if stepper.run(lanes[i]) is not None:
+                    lanes[i] = None
 
-            for worker in busy:
-                self._turn(worker, stats, solutions)
-
-        exhausted = stop_reason is None
-        for worker in self.workers:
-            if worker.busy:
-                self._finish(worker, stats)
-        self._strategy.drain()
-        stats.peak_frontier = self._strategy.stats.peak_frontier
-        stats.extra.update(self._parallel_stats())
-        return SearchResult(
-            solutions=solutions,
-            stats=stats,
-            strategy=self._strategy.name,
-            exhausted=exhausted,
-            stop_reason=stop_reason,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _assign(self, worker: _Worker, ext: Extension) -> None:
-        cand: _Candidate = ext.candidate
-        regs, space, files = self.manager.restore(cand.snapshot)
-        worker.vcpu.regs.load(regs)
-        worker.vcpu.regs.rax = ext.number
-        worker.state = ExecState(space, files, cand.console.fork_cow())
-        worker.path = cand.path + (ext.number,)
-        worker.parent = cand
-        worker.steps_used = 0
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.PARALLEL_SCHEDULE,
-                worker=worker.vcpu.cpu_id,
-                ext=ext.number,
-                depth=len(cand.path),
-            )
-
-    def _turn(self, worker: _Worker, stats: SearchStats,
-              solutions: list[Solution]) -> None:
-        """Run one quantum on *worker*, handling at most one boundary."""
-        worker.vcpu.attach(worker.state.space)
-        exit_event = worker.vcpu.enter(max_steps=self.quantum)
-        worker.steps_used += exit_event.steps
-        if exit_event.reason is VmExitReason.STEP_LIMIT:
-            # End of timeslice, not a runaway guest: the extension stays
-            # in flight and resumes on the worker's next turn.
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.PARALLEL_PREEMPT,
-                    worker=worker.vcpu.cpu_id,
-                    steps=worker.steps_used,
-                )
-            if worker.steps_used >= self.max_steps_per_extension:
-                stats.kills += 1
-                self._emit_kill(worker)
-                self._finish(worker, stats)
-            return
-        action = self.libos.handle_exit(exit_event, worker.vcpu, worker.state)
-
-        if isinstance(action, ContinueAction):
-            if worker.steps_used >= self.max_steps_per_extension:
-                stats.kills += 1
-                self._emit_kill(worker)
-                self._finish(worker, stats)
-            return
-        if isinstance(action, StrategyAction):
-            self._select_strategy(action.name)
-            return
-        if isinstance(action, GuessAction):
-            self._handle_guess(action, worker, stats)
-            return
-        if isinstance(action, GuessFailAction):
-            stats.fails += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_FAIL, depth=len(worker.path),
-                    path=list(worker.path), steps=worker.steps_used,
-                    worker=worker.vcpu.cpu_id,
-                )
-            self._finish(worker, stats)
-            return
-        if isinstance(action, ExitAction):
-            stats.completions += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_SOLUTION,
-                    depth=len(worker.path),
-                    path=list(worker.path),
-                    steps=worker.steps_used,
-                    worker=worker.vcpu.cpu_id,
-                )
-            solutions.append(
-                Solution(
-                    value=(action.status, worker.state.console.text),
-                    path=worker.path,
-                )
-            )
-            self._finish(worker, stats)
-            return
-        if isinstance(action, KillAction):
-            stats.kills += 1
-            self._emit_kill(worker)
-            self._finish(worker, stats)
-            return
-        raise AssertionError(f"unhandled action {action!r}")  # pragma: no cover
-
-    def _handle_guess(self, action: GuessAction, worker: _Worker,
-                      stats: SearchStats) -> None:
-        n = action.n
-        if n == 0:
-            # A zero-fanout guess is a dead end, exactly like sys_guess_fail.
-            stats.fails += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_FAIL, depth=len(worker.path),
-                    path=list(worker.path), steps=worker.steps_used,
-                    worker=worker.vcpu.cpu_id,
-                )
-            self._finish(worker, stats)
-            return
-        self._locked = True
-        parent_snap = worker.parent.snapshot if worker.parent else None
-        snap = self.manager.take(
-            worker.state.space,
-            regs=worker.vcpu.regs.frozen(),
-            files=worker.state.files,
-            parent=parent_snap if parent_snap and parent_snap.alive else None,
-        )
-        cand = _Candidate(snap, worker.path, n,
-                          worker.state.console.fork_cow())
-        self.tree.add(snap)
-        self.tree.pin(snap, n)
-        stats.candidates += 1
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.SEARCH_GUESS, n=n, depth=len(worker.path),
-                sid=snap.sid, path=list(worker.path),
-                steps=worker.steps_used, worker=worker.vcpu.cpu_id,
-            )
-        self._strategy.add(
-            Extension(
-                cand,
-                number=i,
-                hint=action.hints[i] if action.hints is not None else None,
-                depth=len(worker.path),
-            )
-            for i in range(n)
-        )
-        self._finish(worker, stats)
-
-    def _emit_kill(self, worker: _Worker) -> None:
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.SEARCH_KILL, depth=len(worker.path),
-                path=list(worker.path), steps=worker.steps_used,
-                worker=worker.vcpu.cpu_id,
-            )
-
-    def _finish(self, worker: _Worker, stats: SearchStats) -> None:
-        worker.state.free()
-        worker.state = None
-        if worker.parent is not None:
-            self.tree.unpin(worker.parent.snapshot)
-            worker.parent = None
-
-    def _select_strategy(self, name: str) -> None:
-        if name == self._strategy.name:
-            return
-        if self._locked:
-            raise GuessError(
-                f"cannot switch strategy to {name!r} after the first guess"
-            )
-        self._strategy = get_strategy(name)
-
-    def _parallel_stats(self) -> dict:
-        total_busy = sum(w.busy_turns for w in self.workers)
-        total_turns = sum(w.busy_turns + w.idle_turns for w in self.workers)
-        return {
-            "workers": len(self.workers),
+        for lane in lanes:
+            if lane is not None:
+                stepper.retire(lane)
+        stepper.strategy.drain()
+        stats.peak_frontier = stepper.strategy.stats.peak_frontier
+        total_turns = busy_turns + idle_turns
+        stats.extra.update({
+            "workers": len(self.vcpus),
             "peak_busy_workers": self.peak_busy,
-            "occupancy": total_busy / total_turns if total_turns else 0.0,
+            "occupancy": busy_turns / total_turns if total_turns else 0.0,
             "guest_instructions": sum(
-                w.vcpu.vmcs.guest_instructions for w in self.workers
+                v.vmcs.guest_instructions for v in self.vcpus
             ),
-            "vm_exits": sum(w.vcpu.vmcs.exits for w in self.workers),
+            "vm_exits": sum(v.vmcs.exits for v in self.vcpus),
             "snapshots_taken": self.manager.stats.taken,
             "snapshots_peak_live": self.manager.stats.peak_live,
             "frames_peak": self.pool.peak_live_frames,
-        }
+        })
+        return SearchResult(
+            solutions=stepper.solutions,
+            stats=stats,
+            strategy=stepper.strategy.name,
+            exhausted=stop_reason is None,
+            stop_reason=stop_reason,
+        )

@@ -50,7 +50,7 @@ from typing import Any, Callable, Optional
 
 #: Version of the hello/welcome handshake; bumped on incompatible
 #: protocol changes so mixed deployments fail loudly at join time.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: magic, payload length, payload CRC32.
 MAGIC = b"RPF1"
@@ -806,6 +806,12 @@ class TcpTransport:
 # ----------------------------------------------------------------------
 
 
+def _is_handshake(msg: Any) -> bool:
+    return isinstance(msg, tuple) and bool(msg) and msg[0] in (
+        "rewelcome", "welcome",
+    )
+
+
 class TcpWorkerConnection:
     """The worker's side of a framed TCP link to the coordinator.
 
@@ -869,6 +875,10 @@ class TcpWorkerConnection:
                     ))
                     decoder = FrameDecoder()
                     reply = self._read_handshake(sock, decoder)
+                    # Frames that arrived in the same read as the reply
+                    # are already buffered; recv() must not wait on the
+                    # socket for bytes it has already consumed.
+                    early = list(decoder.messages())
                 except (OSError, FrameError, ConnectionError) as exc:
                     last_exc = exc
                     continue
@@ -884,6 +894,7 @@ class TcpWorkerConnection:
                 old = self._sock
                 self._sock = sock
                 self._decoder = decoder
+                self._inbox.extend(m for m in early if not _is_handshake(m))
                 if old is not None:
                     try:
                         old.close()
@@ -986,12 +997,9 @@ class TcpWorkerConnection:
             self._decoder.feed(data)
             got = False
             for msg in self._decoder.messages():
-                if isinstance(msg, tuple) and msg and msg[0] in (
-                    "rewelcome", "welcome",
-                ):
-                    continue
-                self._inbox.append(msg)
-                got = True
+                if not _is_handshake(msg):
+                    self._inbox.append(msg)
+                    got = True
             return got
         except FrameError:
             # The stream is unrecoverable past a bad frame: drop the

@@ -21,8 +21,8 @@ Field conventions:
   terminal search events (``search.guess/fail/solution/kill``) carry it
   so the profiler can rebuild the guess tree without positional
   guessing; they also carry ``steps`` (guest instructions retired by the
-  extension run ending at the event) and, in the cluster engine,
-  ``replay_steps`` (the rehydration share of that run).
+  extension run ending at the event) and, for a run that rehydrated by
+  replaying a guess prefix, ``replay_steps`` (the replayed share).
 * ``span`` — the root span id of the cluster run a ``task.*`` event
   belongs to (propagated to workers inside every PrefixTask).
 * ``wseq`` — the original worker-local ``seq`` of a merged event

@@ -11,12 +11,13 @@ multi-path engines attribute exploration cost to execution-tree nodes.
 The attribution contract
 ------------------------
 
-Engines emit one *terminal* search event per extension run
-(``search.guess`` / ``search.fail`` / ``search.solution`` /
-``search.kill`` / ``search.spill``), carrying ``path`` (the decision
-prefix of the node the run belongs to) and ``steps`` (guest
-instructions retired by the run; in the cluster engine the replayed
-share is split out as ``replay_steps``).  Because every retired
+The engines' shared stepping kernel (:mod:`repro.core.stepper`) emits
+one *terminal* search event per extension run (``search.guess`` /
+``search.fail`` / ``search.solution`` / ``search.kill`` /
+``search.spill``), carrying ``path`` (the decision prefix of the node
+the run belongs to) and ``steps`` (guest instructions retired by the
+run; a run that rehydrated by replaying a prefix splits the replayed
+share out as ``replay_steps``).  Because every retired
 instruction belongs to exactly one run and every run ends in exactly one
 terminal event, **the sum of attributed steps equals the engine's
 retired-instruction counter exactly** — the differential test in

@@ -384,7 +384,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         engine = ReplayMachineEngine(
             strategy=args.strategy,
             max_solutions=args.max_solutions,
-            max_steps_per_path=args.max_steps,
+            max_steps_per_extension=args.max_steps,
             replay_mode=args.replay_mode,
             replay_log=seed_log,
             input=input_source(),

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.machine import MachineEngine
 from repro.core.supervisor import SupervisorPolicy
@@ -51,6 +52,13 @@ def _stall_first_attempt(task):
         time.sleep(60.0)
 
 
+def _slow_first_generation(task):
+    """Each first-generation task under column 0 takes 0.6 s: inside
+    a 1 s task timeout, but a batch of four outlasts a 1.5 s lease."""
+    if task.attempt == 0 and len(task.prefix) == 2 and task.prefix[0] == 0:
+        time.sleep(0.6)
+
+
 def _crash_always(task):
     if task.prefix == _POISON:
         os._exit(1)
@@ -58,6 +66,23 @@ def _crash_always(task):
 
 def _crash_every_task(task):
     os._exit(1)
+
+
+class _StaleSteals(FaultPlan):
+    """Before the poison task's first result, announce *copies* steals
+    stamped with fence 0 — older than any batch — as a steal that was
+    sent before the worker received its batch would be."""
+
+    copies = 1
+
+    def pipe_hook(self, conn, task):
+        if task.attempt == 0 and task.prefix == _POISON:
+            for _ in range(self.copies):
+                conn.send(("steal", 0, 1, 0))
+
+
+class _TwoStaleSteals(_StaleSteals):
+    copies = 2
 
 
 class TestWorkerCrash:
@@ -133,6 +158,59 @@ class TestTaskTimeout:
         result = engine.run(nqueens_asm(5))
         assert result.stats.extra["task_timeouts"] == 1
         assert result.stats.extra["worker_crashes"] == 0
+
+
+class TestStealAnnouncements:
+    """A steal from a worker the coordinator believes busy is only
+    evidence of loss when the worker has seen the latest batch, or has
+    re-announced without it."""
+
+    def test_steal_that_crossed_a_batch_reclaims_nothing(self, sequential_5):
+        # The idle worker's periodic re-announcement can cross the batch
+        # answering its previous steal; that is not a loss, and must
+        # not re-run (and spend retries of) the healthy batch.
+        result = ProcessParallelEngine(
+            workers=2, subtree_depth=1, task_step_budget=None,
+            max_task_retries=0, chaos=_StaleSteals(),
+        ).run(nqueens_asm(5))
+        assert solution_set(result) == solution_set(sequential_5)
+        assert result.exhausted
+        assert result.stats.extra["leases_expired"] == 0
+        assert result.stats.extra["fenced_stale"] == 0
+        assert result.stats.extra["tasks_retried"] == 0
+
+    def test_repeated_stale_steal_reclaims_the_batch(self, sequential_5):
+        # A second announcement without the batch means the work frame
+        # was lost: the leases are reclaimed and re-run elsewhere, and
+        # the holder's late results are fenced off, so the totals stay
+        # exact.
+        result = ProcessParallelEngine(
+            workers=2, subtree_depth=1, task_step_budget=None,
+            max_task_retries=2, chaos=_TwoStaleSteals(),
+        ).run(nqueens_asm(5))
+        assert solution_set(result) == solution_set(sequential_5)
+        assert result.exhausted
+        assert result.stats.extra["leases_expired"] >= 1
+        assert result.stats.extra["fenced_stale"] >= 1
+        assert result.stats.extra["guest_instructions"] == (
+            sequential_5.stats.extra["guest_instructions"]
+        )
+
+
+class TestLeaseRenewal:
+    def test_slow_healthy_batch_keeps_its_leases(self, sequential_5):
+        # Every result renews the holder's remaining leases, so a batch
+        # that outlives one lease period while making steady progress is
+        # never re-dispatched behind its worker's back.
+        result = ProcessParallelEngine(
+            workers=2, subtree_depth=1, task_step_budget=None,
+            batch_size=4, task_timeout=1.0, max_task_retries=0,
+            fault_hook=_slow_first_generation,
+        ).run(nqueens_asm(5))
+        assert solution_set(result) == solution_set(sequential_5)
+        assert result.exhausted
+        assert result.stats.extra["leases_expired"] == 0
+        assert result.stats.extra["task_timeouts"] == 0
 
 
 class TestSupervision:

@@ -39,9 +39,17 @@ def test_all_engines_agree(seed):
         ReplayMachineEngine("dfs"),
         ParallelMachineEngine(workers=3, quantum=9),
     ]
+    counters = set()
     for engine in engines:
         result = engine.run(program.source)
         assert engine_solutions(result) == expected, type(engine).__name__
+        counters.add(tuple(
+            getattr(result.stats, name)
+            for name in ("evaluations", "candidates", "completions",
+                         "fails", "kills")
+        ))
+    # One stepping kernel: every engine also counts the same work.
+    assert len(counters) == 1, counters
 
 
 @given(seed=st.integers(0, 10_000))
