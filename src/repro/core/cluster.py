@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.core.errors import ReplayDivergenceError
-from repro.core.lease import LeaseTable
+from repro.core.lease import Lease, LeaseTable
 from repro.core.transport import (
     EndpointDown,
     PipeTransport,
@@ -76,6 +76,7 @@ from repro.core.stepper import Stepper
 from repro.core.supervisor import (
     SlotState,
     SupervisorPolicy,
+    WorkerSlot,
     WorkerSupervisor,
 )
 from repro.cpu.assembler import Program, assemble
@@ -381,6 +382,53 @@ class _SubtreeWorker:
 _STEAL_REANNOUNCE_S = 1.0
 
 
+def _serve_task(worker: _SubtreeWorker, task: PrefixTask,
+                solutions_budget: Optional[int], wid: int,
+                emitter: Optional[HeartbeatEmitter] = None):
+    """Explore one task between its ``task.begin`` and ``task.end`` events.
+
+    Returns ``(solutions, spilled, state, fresh_events)``: the task's
+    solutions and spills, the worker registry's state for this task (the
+    registry is reset, so each result carries a delta), and the nondet
+    events it freshly recorded.  Remote workers and the coordinator's
+    in-process fallback (*wid* ``-1``) both serve tasks through here.
+    """
+    if _TRACER.enabled:
+        _TRACER.emit(
+            _events.TASK_BEGIN, worker=wid, task=list(task.prefix),
+            depth=task.depth, span=task.span, attempt=task.attempt,
+        )
+    if emitter is not None:
+        # Force a beat before the fault hook can kill us: the shipped
+        # ring (with task.begin) is what the flight recorder dumps for
+        # this death.
+        worker.stepper.heartbeat = (
+            lambda: emitter.beat(task=task.prefix, span=task.span)
+        )
+        emitter.beat(task=task.prefix, span=task.span, force=True)
+    if worker.config.fault_hook is not None:
+        worker.config.fault_hook(task)
+    solutions, spilled = worker.explore(task, solutions_budget)
+    if _TRACER.enabled:
+        _TRACER.emit(
+            _events.TASK_END, worker=wid, task=list(task.prefix),
+            span=task.span, solutions=len(solutions), spilled=len(spilled),
+            explore_steps=worker._steps_counter.value,
+            replay_steps=worker._replay_counter.value,
+            task_s=worker._task_timer.total_s,
+        )
+    state = worker.registry.state_dict()
+    if emitter is not None:
+        worker.stepper.heartbeat = None
+        # Bank the lifetime counters this reset will zero.
+        emitter.note_task_result(state)
+    worker.registry.reset()
+    fresh_events = (
+        worker.recorder.drain_fresh() if worker.recorder is not None else []
+    )
+    return solutions, spilled, state, fresh_events
+
+
 def _worker_main(worker_id: int, conn, program: Program,
                  config: ClusterConfig) -> None:
     """Worker process body: steal and serve batches until the pill."""
@@ -439,24 +487,10 @@ def _worker_main(worker_id: int, conn, program: Program,
             if worker.recorder is not None and shipped_events:
                 worker.recorder.log.merge(shipped_events)
             for task in batch:
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_BEGIN, worker=worker_id,
-                        task=list(task.prefix), depth=task.depth,
-                        span=task.span, attempt=task.attempt,
-                    )
-                if emitter is not None:
-                    # Force a beat before the fault hook can kill us:
-                    # the shipped ring (with task.begin) is what the
-                    # flight recorder dumps for this death.
-                    worker.stepper.heartbeat = (
-                        lambda t=task: emitter.beat(task=t.prefix, span=t.span)
-                    )
-                    emitter.beat(task=task.prefix, span=task.span, force=True)
-                if config.fault_hook is not None:
-                    config.fault_hook(task)
                 try:
-                    solutions, spilled = worker.explore(task, solutions_budget)
+                    solutions, spilled, state, fresh_events = _serve_task(
+                        worker, task, solutions_budget, worker_id, emitter,
+                    )
                 except Exception as exc:  # engine/guest error: report and die
                     conn.send(("error", worker_id,
                                f"{type(exc).__name__}: {exc}"))
@@ -465,26 +499,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                     solutions_budget = max(
                         0, solutions_budget - len(solutions)
                     )
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_END, worker=worker_id,
-                        task=list(task.prefix), span=task.span,
-                        solutions=len(solutions), spilled=len(spilled),
-                        explore_steps=worker._steps_counter.value,
-                        replay_steps=worker._replay_counter.value,
-                        task_s=worker._task_timer.total_s,
-                    )
-                state = worker.registry.state_dict()
-                if emitter is not None:
-                    worker.stepper.heartbeat = None
-                    # Bank the lifetime counters this reset will zero.
-                    emitter.note_task_result(state)
-                worker.registry.reset()
                 segment = collector.drain() if collector is not None else None
-                fresh_events = (
-                    worker.recorder.drain_fresh()
-                    if worker.recorder is not None else []
-                )
                 if config.pipe_hook is not None:
                     config.pipe_hook(conn, task)
                 conn.send(
@@ -523,26 +538,51 @@ def tcp_worker(host: str, port: int) -> None:
     _tcp_worker_entry((host, port), wid=None)
 
 
+
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
 
 
-class _WorkerHandle:
-    __slots__ = ("ep", "slot_index", "pending", "last_progress", "want",
-                 "crossed_steal")
+#: Capacity of each worker's flight-recorder ring (the most recent trace
+#: events, shipped inside heartbeats when a flight directory is set).
+_FLIGHT_EVENTS = 256
 
-    def __init__(self, ep, slot_index: int):
+#: Engine-registry counters ``parallel.<name>`` that ``stats.extra``
+#: reports under their own names.
+_EXTRA_COUNTERS = (
+    "tasks_dispatched", "tasks_completed", "tasks_spilled", "tasks_retried",
+    "tasks_dropped", "worker_crashes", "task_timeouts", "respawns",
+    "protocol_errors", "steals", "leases_expired", "fenced_stale",
+    "worker_joins", "replay_steps", "trace_events_merged", "trace_dropped",
+)
+
+
+def _well_formed(msg) -> bool:
+    """Whether *msg* is a worker message the coordinator can act on."""
+    if not isinstance(msg, tuple) or len(msg) < 3:
+        return False
+    if msg[0] == "task":
+        return len(msg) == 9
+    if msg[0] == "hb":
+        return len(msg) == 3 and isinstance(msg[2], HeartbeatRecord)
+    if msg[0] == "steal":
+        return (len(msg) == 4 and isinstance(msg[2], int)
+                and isinstance(msg[3], int))
+    return msg[0] == "error"
+
+
+class _WorkerHandle:
+    __slots__ = ("ep", "slot", "last_progress", "crossed_steal")
+
+    def __init__(self, ep, slot: WorkerSlot, now: float):
         #: The transport endpoint this worker is reached through.
         self.ep = ep
-        #: Index of the supervisor slot this worker occupies.
-        self.slot_index = slot_index
-        #: Leased tasks dispatched and not yet settled, in worker order
-        #: (each carries the fence it travelled under).
-        self.pending: list[PrefixTask] = []
-        self.last_progress = 0.0
-        #: Outstanding steal capacity (0 = no unfulfilled steal).
-        self.want = 0
+        #: The supervisor slot this worker occupies.
+        self.slot = slot
+        #: Clock reading of the last observed progress (a dispatch, a
+        #: result, or a heartbeat whose step counter grew).
+        self.last_progress = now
         #: A steal that predates the latest batch was already excused
         #: as crossing it in flight (reset at every dispatch).
         self.crossed_steal = False
@@ -551,9 +591,621 @@ class _WorkerHandle:
     def wid(self) -> int:
         return self.ep.wid
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.pending)
+
+class _Coordinator:
+    """The coordinator loop as a state machine over the lease table.
+
+    Transport events come in through the ``on_*`` handlers; leases,
+    journal records and ``parallel.*`` trace events go out.  The lease
+    table is the only record of what a worker owes: a worker is busy
+    while it holds a live lease, and when it dies its first lease in
+    grant order is the task it was running (workers run a batch in
+    order and report per task).  Every accepted task result settles
+    through :meth:`settle` and every lost task is requeued through
+    :meth:`retry`, whether it ran on a remote worker or in-process
+    after the pool collapsed.  All time comes from the injected *clock*,
+    which the lease table and the supervisor share, so the tests can
+    drive expiry and stall detection without processes or sleeps.
+    """
+
+    def __init__(self, engine: ProcessParallelEngine, transport,
+                 leases: LeaseTable, sup: WorkerSupervisor,
+                 journal: Optional[JournalWriter],
+                 clock: Callable[[], float] = time.monotonic, span: int = 0):
+        self.engine = engine
+        self.transport = transport
+        self.leases = leases
+        self.sup = sup
+        self.journal = journal
+        self.clock = clock
+        self.reg = engine.registry
+        #: The coordinator's merged nondet-event log (None: replay off).
+        self.nlog = engine.replay_log
+        self.frontier = TaskFrontier(order=engine.strategy_name)
+        self.solutions: list[Solution] = []
+        self.poisoned: list[tuple[PrefixTask, list]] = []
+        #: Task keys already completed in the journaled run: a resumed
+        #: coordinator drops re-spills of these so a re-explored parent
+        #: (its own completion record lost to corruption) can never
+        #: double-count a child's already-durable solutions.
+        self.resume_completed: set[tuple[int, ...]] = set()
+        #: Every task key settled this run (superset of the resumed
+        #: completed set): the second line of defence against double
+        #: counting, behind fence matching.
+        self.completed: set[tuple[int, ...]] = set()
+        #: The live pool: one handle per occupied supervisor slot.
+        self.by_wid: dict[int, _WorkerHandle] = {}
+        #: Unfulfilled steal announcements, wid -> tasks wanted, in
+        #: announcement order.
+        self.steals: dict[int, int] = {}
+        #: Wire-level observations (chaos net faults) arrive from the
+        #: transport's loop thread; the tracer is single-threaded, so
+        #: they are buffered here and drained into the trace by the
+        #: loop.  deque.append is atomic under the GIL.
+        self.wire_events: deque = deque()
+        self.degraded = False
+        self.stop_reason: Optional[str] = None
+        self.status = RunStatus(
+            workers=engine.num_workers, span=span,
+            strategy=engine.strategy_name, clock=clock,
+        )
+        ring = engine.config.flight_events
+        self.flight = (
+            FlightRecorder(engine.flight_dir, capacity=ring) if ring else None
+        )
+        timeout = engine.task_timeout
+        self.poll_s = 0.02 if timeout is None else min(0.02, timeout / 4)
+        self.status_every = min(0.25, engine.status_interval)
+        self.last_refresh = 0.0
+
+    # -- helpers -------------------------------------------------------
+
+    def _inc(self, name: str, n: int = 1) -> None:
+        self.reg.counter("parallel." + name).inc(n)
+
+    def record(self, rtype: str, **fields) -> None:
+        if self.journal is not None:
+            self.journal.append(rtype, **fields)
+
+    def remaining(self) -> Optional[int]:
+        """Solutions still wanted (None: find them all)."""
+        cap = self.engine.max_solutions
+        return None if cap is None else max(cap - len(self.solutions), 0)
+
+    def busy(self, handle: _WorkerHandle) -> bool:
+        return bool(self.leases.owned_by(handle.wid))
+
+    def health(self) -> list[dict]:
+        by_slot = {h.slot.index: h for h in self.by_wid.values()}
+        health = self.sup.health()
+        for entry in health:
+            handle = by_slot.get(entry["slot"])
+            entry["worker"] = handle.wid if handle is not None else None
+            entry["busy"] = handle is not None and self.busy(handle)
+        return health
+
+    def refresh(self, force: bool = False) -> None:
+        """Update the live status (at most every ``status_every`` s)."""
+        if not self.engine._telemetry:
+            return
+        now = self.clock()
+        if not force and now - self.last_refresh < self.status_every:
+            return
+        self.last_refresh = now
+        self.status.refresh(
+            self.reg.state_dict(), pending=len(self.frontier),
+            in_flight=len(self.leases), solutions=len(self.solutions),
+            health=self.health(),
+        )
+
+    def batch_events(self, batch) -> list:
+        """Recorded events every task in *batch* may replay through."""
+        if self.nlog is None:
+            return []
+        picked: dict = {}
+        for task in batch:
+            for event in self.nlog.events_for_task(task.prefix):
+                picked[event.key()] = event
+        return list(picked.values())
+
+    def push_tasks(self, tasks) -> None:
+        for task in tasks:
+            key = task.key()
+            if key in self.completed:
+                if key in self.resume_completed:
+                    self._inc("resume_spills_filtered")
+                continue
+            if self.sup.is_poisoned(key):
+                continue  # quarantined: never re-dispatched
+            self.frontier.push(task)
+
+    def on_wire_event(self, kind: str, **fields) -> None:
+        self.wire_events.append((kind, fields))
+
+    # -- pool membership -----------------------------------------------
+
+    def add_worker(self, ep, slot: WorkerSlot) -> _WorkerHandle:
+        handle = self.by_wid[ep.wid] = _WorkerHandle(ep, slot, self.clock())
+        return handle
+
+    def start(self) -> None:
+        """Spawn the initial pool."""
+        for slot in self.sup.slots:
+            self.add_worker(self.transport.spawn(), slot)
+        self.reg.gauge("parallel.workers").set(self.engine.num_workers)
+        self.refresh(force=True)
+
+    def respawn(self, now: float) -> None:
+        for slot in self.sup.respawn_ready(now):
+            handle = self.add_worker(self.transport.spawn(), slot)
+            self.sup.mark_running(slot)
+            self._inc("respawns")
+            if _TRACER.enabled:
+                _TRACER.emit(
+                    _events.PARALLEL_RESPAWN, worker=handle.wid,
+                    slot=slot.index, failures=slot.failures,
+                )
+
+    def on_join(self, ep, detail: str = "") -> None:
+        """An external (or resurfaced) worker completed the handshake:
+        give it a non-respawnable slot and let it steal."""
+        self.add_worker(ep, self.sup.add_slot(respawnable=False))
+        self._inc("worker_joins")
+        self.reg.gauge("parallel.workers").set(len(self.by_wid))
+        self.record("join", worker=ep.wid, detail=detail)
+        if _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_JOIN, worker=ep.wid, detail=detail)
+
+    # -- the loop ------------------------------------------------------
+
+    def run(self, program: Program, config: ClusterConfig) -> None:
+        """Drive the run to its end, in-process past a pool collapse;
+        sets :attr:`stop_reason` and seals the journal.
+
+        An exception (worker error, chaos kill) skips the seal, leaving
+        the journal resumable.
+        """
+        while self.step():
+            pass
+        if self.degraded:
+            self.finish_in_process(program, config)
+        if self.remaining() == 0:
+            self.stop_reason = "max_solutions"
+        elif self.poisoned:
+            self.stop_reason = "tasks_poisoned"
+        elif self.reg.counter("parallel.tasks_dropped").value:
+            self.stop_reason = "task_retries_exhausted"
+        if self.engine.max_solutions is not None:
+            del self.solutions[self.engine.max_solutions:]
+        self.record(
+            "run_end", stop_reason=self.stop_reason,
+            exhausted=self.stop_reason is None,
+            solutions=len(self.solutions),
+        )
+
+    def step(self) -> bool:
+        """One turn of the loop; False once the run is over (the
+        solution budget is met, nothing is left, or the pool collapsed
+        and :attr:`degraded` is set)."""
+        if self.remaining() == 0:
+            return False
+        self.refresh()
+        self.respawn(self.clock())
+        if self.sup.collapsed() and (self.frontier or self.leases):
+            self.degraded = True
+            return False
+        self.dispatch()
+        if not self.leases and not self.frontier:
+            return False  # frontier exhausted, nothing in flight
+        timeout = self.poll_s
+        if not self.leases:
+            # Everything runnable is mid-backoff (or tasks were just
+            # requeued): wait to the nearest respawn deadline instead of
+            # spinning.  The transport still gets polled — a TCP pool
+            # can gain an external joiner while every local slot is down.
+            due = self.sup.next_respawn_due()
+            if due is not None:
+                timeout = min(timeout, max(0.0, due - self.clock()))
+        events = self.transport.poll(max(0.0, timeout))
+        now = self.clock()
+        while self.wire_events:
+            kind, f = self.wire_events.popleft()
+            if kind == "net_fault" and _TRACER.enabled:
+                _TRACER.emit(
+                    _events.CHAOS_NET_FAULT, action=f.get("kind"),
+                    direction=f.get("direction"), worker=f.get("worker"),
+                    seq=f.get("seq"),
+                )
+        for ev in events:
+            self.on_event(ev, now)
+        self.check_workers(now)
+        self.expire_leases(now)
+        return True
+
+    def dispatch(self) -> None:
+        """Fulfil steal announcements off the frontier.
+
+        Workers *pull*: an idle worker announces capacity and the
+        coordinator grants it a leased batch — nothing is pushed
+        unsolicited, so a slow worker never queues work it cannot start
+        while a fast one sits idle.
+        """
+        while self.steals and self.frontier:
+            wid = next(iter(self.steals))
+            want = self.steals.pop(wid)
+            handle = self.by_wid.get(wid)
+            if handle is None or self.busy(handle):
+                continue  # died or was re-dispatched meanwhile
+            if handle.slot.state is not SlotState.RUNNING:
+                continue
+            if not handle.ep.alive():
+                self.fail_worker(handle, "crash", "worker died while idle")
+                continue
+            batch = self.frontier.take_batch(
+                max(1, min(want, self.engine.batch_size))
+            )
+            granted = [self.leases.grant(t, handle.wid).task for t in batch]
+            handle.last_progress = self.clock()
+            handle.crossed_steal = False
+            try:
+                handle.ep.send(("work", granted, self.remaining(),
+                                self.batch_events(granted)))
+            except EndpointDown:
+                self.fail_worker(handle, "crash", "dispatch channel closed")
+                continue
+            self._inc("dispatches")
+            self._inc("tasks_dispatched", len(granted))
+            for task in granted:
+                self.record("dispatch", task=task.to_record(),
+                            worker=handle.wid)
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_DISPATCH, worker=handle.wid,
+                             tasks=len(granted))
+
+    # -- transport events ----------------------------------------------
+
+    def on_event(self, ev, now: float) -> None:
+        if ev.kind == "join":
+            self.on_join(ev.endpoint, ev.detail)
+            return
+        handle = self.by_wid.get(ev.endpoint.wid)
+        if handle is None or handle.ep is not ev.endpoint:
+            return  # failed/replaced earlier this sweep
+        if ev.kind == "down":
+            self.on_down(handle, ev)
+            return
+        msg = ev.payload
+        if not _well_formed(msg):
+            self._inc("protocol_errors")
+            self.fail_worker(handle, "crash",
+                             f"malformed result message {msg!r}"[:200])
+        elif msg[0] == "steal":
+            self.on_steal(handle, msg[2], msg[3])
+        elif msg[0] == "hb":
+            self.on_heartbeat(handle, msg[2], now)
+        elif msg[0] == "task":
+            self.on_result(handle, msg, now)
+        elif str(msg[2]).startswith("ReplayDivergenceError:"):
+            # Surface a worker's replay divergence as itself: callers
+            # catch the typed error the same way whichever engine
+            # detected it.
+            raise ReplayDivergenceError(f"worker {msg[1]}: {msg[2]}")
+        else:
+            raise WorkerError(msg[1], msg[2])
+
+    def on_down(self, handle: _WorkerHandle, ev) -> None:
+        if ev.protocol_error:
+            self._inc("protocol_errors")
+        self.fail_worker(handle, ev.fail_kind or "crash", ev.detail)
+
+    def on_steal(self, handle: _WorkerHandle, want: int,
+                 seen_fence: int) -> None:
+        owed = self.leases.owned_by(handle.wid)
+        if owed:
+            if (seen_fence < max(lease.fence for lease in owed)
+                    and not handle.crossed_steal):
+                # Sent before the worker received its latest batch: the
+                # two crossed in flight, and the worker announces again
+                # once that batch is done.
+                handle.crossed_steal = True
+                return
+            # The worker says it is idle while it still holds leases:
+            # either it saw every batch and the results were lost, or it
+            # re-announced without seeing the latest batch and the work
+            # was lost (dropped frames, a reconnect).  Reclaim eagerly —
+            # the requeue re-executes, and the revoked fences turn any
+            # late duplicate delivery into a discarded stale.
+            for lease in self.leases.revoke_worker(handle.wid):
+                self.expire(lease, "steal while leases held")
+        if handle.wid not in self.steals:
+            self._inc("steals")
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_STEAL, worker=handle.wid,
+                             want=want)
+        self.steals[handle.wid] = want
+
+    def on_heartbeat(self, handle: _WorkerHandle, record: HeartbeatRecord,
+                     now: float) -> None:
+        self.reg.counter("telemetry.heartbeats").inc()
+        progressed = self.status.observe_heartbeat(record)
+        if self.flight is not None and record.events:
+            self.flight.extend(handle.wid, record.events)
+        if progressed and self.busy(handle):
+            # The worker's step counter grew: its task is alive, defer
+            # the stall timeout.  (A stalled worker cannot beat, so real
+            # stalls still trip it.)  Leases ride the same signal —
+            # observed progress renews ownership.
+            handle.last_progress = now
+            self.leases.extend_worker(handle.wid, now)
+
+    def on_result(self, handle: _WorkerHandle, msg: tuple,
+                  now: float) -> None:
+        (_kind, _wid, key, fence, solutions, spilled, state, segment,
+         fresh_events) = msg
+        key = tuple(key)
+        # A result is progress on the whole batch: the holder is alive
+        # and working through it in order, so the stall timer and the
+        # batch-mates' leases both restart, and a slow batch keeps its
+        # tail.
+        handle.last_progress = now
+        self.leases.extend_worker(handle.wid, now)
+        lease = next(
+            (l for l in self.leases.owned_by(handle.wid) if l.key == key),
+            None,
+        )
+        if lease is None or self.leases.settle(key, fence) == "stale":
+            # A fenced-off result: the lease expired (or the worker was
+            # declared down) and the task was re-dispatched, or this is
+            # a duplicated delivery.  Discard it *wholesale* — no
+            # registry merge, no solutions, no spills, no journal
+            # complete — so the accepted execution remains the only
+            # accounting of this subtree.
+            self._inc("fenced_stale")
+            self.record("stale", task={"prefix": list(key)}, fence=fence,
+                        worker=handle.wid)
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_FENCED_STALE,
+                             worker=handle.wid, task=list(key), fence=fence)
+            return
+        self.sup.record_success(handle.slot)
+        self.settle(handle.wid, lease.task, solutions, spilled, state,
+                    segment, fresh_events)
+
+    def settle(self, wid: int, task: PrefixTask, solutions: list,
+               spilled: list, state: dict, segment: Optional[list],
+               fresh_events: list) -> None:
+        """Account one accepted task result, remote or in-process.
+
+        *segment* is the worker's buffered trace for the task (None: the
+        worker did not collect).  Fresh nondet events are journaled
+        *before* the ``complete`` record: if the completion is later
+        lost, the re-explored subtree replays them and reproduces the
+        durable solutions instead of re-rolling them.
+        """
+        self.completed.add(task.key())
+        self._inc("tasks_completed")
+        self._inc("tasks_spilled", len(spilled))
+        self.reg.merge_state(state)
+        self.status.on_task_complete(
+            wid, task.fanouts, len(solutions), [t.fanouts for t in spilled],
+        )
+        self.push_tasks(spilled)
+        if self.nlog is not None and fresh_events:
+            self.nlog.merge(fresh_events)
+            self.record("nondet",
+                        events=[e.to_record() for e in fresh_events])
+        self.record(
+            "complete", task=task.to_record(), worker=wid,
+            solutions=[[list(path), status, text]
+                       for path, status, text in solutions],
+            spilled=[t.to_record() for t in spilled],
+        )
+        for path, status, text in solutions:
+            self.solutions.append(Solution(value=(status, text), path=path))
+        if _TRACER.enabled:
+            # Splice the worker's buffered segment in between its
+            # dispatch and its result event, so the merged stream stays
+            # causally ordered.
+            if segment:
+                self._inc("trace_events_merged",
+                          _TRACER.ingest(segment, worker=wid))
+            elif segment is None:
+                # The worker never collected: its events for this task
+                # are gone.  Count the loss.
+                self._inc("trace_dropped")
+            _TRACER.emit(_events.PARALLEL_RESULT, worker=wid,
+                         solutions=len(solutions), spilled=len(spilled))
+
+    # -- failure, expiry, requeue --------------------------------------
+
+    def check_workers(self, now: float) -> None:
+        """Fail busy workers that died or made no progress in time."""
+        timeout = self.engine.task_timeout
+        for handle in list(self.by_wid.values()):
+            if not self.busy(handle):
+                continue
+            if not handle.ep.alive():
+                self.fail_worker(handle, "crash", "worker process died")
+            elif timeout is not None and now - handle.last_progress > timeout:
+                self.fail_worker(handle, "timeout",
+                                 f"no progress for {timeout:.1f}s")
+
+    def expire_leases(self, now: float) -> None:
+        """Lease expiry is the *backstop* behind the stall detector
+        (leases outlive the task timeout by design): it fires when
+        results were lost in flight or a partitioned worker still looks
+        alive.  Whatever the old holder eventually delivers settles
+        stale."""
+        for lease in self.leases.expired(now):
+            self.expire(lease, "lease expired")
+
+    def expire(self, lease: Lease, reason: str) -> None:
+        """Retire a lease already out of the table and retry its task."""
+        self._inc("leases_expired")
+        self.record("expire", task=lease.task.to_record(), fence=lease.fence,
+                    worker=lease.wid, reason=reason)
+        if _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_LEASE_EXPIRED,
+                         task=list(lease.key), fence=lease.fence,
+                         worker=lease.wid)
+        self.retry(lease.task)
+
+    def retry(self, task: PrefixTask) -> bool:
+        """Requeue a lost *task* one attempt later, or drop it once its
+        retries are spent; True when it was requeued."""
+        key = task.key()
+        if key in self.completed or self.sup.is_poisoned(key):
+            return False
+        if task.attempt >= self.engine.max_task_retries:
+            self._inc("tasks_dropped")
+            self.record("drop", task=task.to_record())
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
+            return False
+        self._inc("tasks_retried")
+        self.frontier.push(task.retried())
+        return True
+
+    def fail_worker(self, handle: _WorkerHandle, kind: str,
+                    detail: str = "") -> None:
+        """Account one worker death: blame, requeue, schedule respawn."""
+        wid = handle.wid
+        # Fence off everything the worker still owed: whatever it
+        # delivers from here on settles as stale.  Its first owed lease
+        # is the task that was executing, the suspect; its batch-mates
+        # are requeued at their old attempt — collateral, not culprits.
+        owed = [lease.task for lease in self.leases.revoke_worker(wid)]
+        suspect = owed[0] if owed else None
+        if self.flight is not None:
+            self.flight.record_failure(
+                wid, kind, detail,
+                task=list(suspect.prefix) if suspect is not None else None,
+            )
+            self.reg.counter("telemetry.flight_dumps").inc()
+        self.status.on_worker_failed(wid)
+        if kind == "timeout":
+            self._inc("task_timeouts")
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_TIMEOUT, worker=wid)
+        else:
+            self._inc("worker_crashes")
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_CRASH, worker=wid)
+        # Sever trust in the endpoint.  For pipes this also terminates
+        # the process; for TCP it only disconnects — a partitioned worker
+        # cannot be signalled either, and its possible resurfacing (with
+        # now-stale fences) is exactly the case the lease table exists
+        # for.
+        handle.ep.kill()
+        decision = self.sup.record_failure(
+            handle.slot, wid, kind,
+            suspect.key() if suspect is not None else None, detail,
+        )
+        if self.by_wid.get(wid) is handle:
+            del self.by_wid[wid]
+        if suspect is None:
+            return
+        requeued = 0
+        if decision.poison:
+            self._inc("poisoned_tasks")
+            self.poisoned.append((suspect, decision.evidence))
+            self.record("poisoned", task=suspect.to_record(),
+                        evidence=decision.evidence)
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_POISONED,
+                             task=list(suspect.prefix),
+                             kills=len(decision.evidence))
+        else:
+            requeued += self.retry(suspect)
+        # Requeue lost tasks ahead of everything else so retries bound
+        # the damage a flaky worker can do to latency.
+        self.frontier.extend(owed[1:])
+        self._inc("tasks_retried", len(owed) - 1)
+        requeued += len(owed) - 1
+        if requeued and _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_RETRY, worker=wid, tasks=requeued)
+
+    # -- collapse and shutdown -----------------------------------------
+
+    def finish_in_process(self, program: Program,
+                          config: ClusterConfig) -> None:
+        """Finish the frontier in-process after the pool collapsed.
+
+        In-flight tasks are reclaimed and the dead pool dropped; every
+        live lease is drained with it, since from here the coordinator
+        is the only executor and any late remote result is stale by
+        construction.  The in-process engine is the same
+        :class:`_SubtreeWorker` stack the workers run, so semantics are
+        identical; fault and pipe hooks are stripped (injected worker
+        faults would kill the coordinator, and there is no pipe).  It
+        records straight into the coordinator's nondet log.
+        """
+        self.frontier.extend(lease.task for lease in self.leases.drain())
+        self.shutdown()
+        self.by_wid.clear()
+        self.steals.clear()
+        self.reg.gauge("parallel.workers").set(0)
+        self._inc("degraded_runs")
+        if _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_DEGRADED,
+                         pending=len(self.frontier))
+        self.record("degraded", pending=len(self.frontier))
+        local = _SubtreeWorker(
+            program,
+            dataclasses.replace(config, fault_hook=None, pipe_hook=None,
+                                collect_trace=False),
+            replay_log=self.nlog,
+        )
+        while self.frontier and self.remaining() != 0:
+            task = self.frontier.pop()
+            self.record("dispatch", task=task.to_record(), worker=-1)
+            solutions, spilled, state, fresh = _serve_task(
+                local, task, self.remaining(), -1,
+            )
+            # Its trace events went straight to this process's tracer:
+            # an empty segment, nothing to splice and nothing lost.
+            self.settle(-1, task, solutions, spilled, state, [], fresh)
+            self.refresh()
+
+    def shutdown(self, grace: float = 2.0) -> None:
+        """Stop every worker; escalate poison -> terminate -> kill.
+
+        Idle workers get the poison pill; busy ones are terminated at
+        once (their tasks are lost by construction).  Each escalation
+        stage shares one deadline across the pool, so shutdown latency
+        is bounded by ~2 * grace however many workers are stuck, and
+        the final blocking ``join`` after SIGKILL guarantees every
+        local child is reaped — no zombies survive this call.
+        External (joined) TCP workers have no local process: poisoning
+        them asks them to exit and closing the endpoint severs the
+        connection, which is all a remote peer can be given.
+        """
+        eps = [h.ep for h in self.by_wid.values()]
+        for handle in self.by_wid.values():
+            if handle.ep.alive() and not self.busy(handle):
+                handle.ep.poison()
+            else:
+                # No trusted connection (or mid-task): go straight to
+                # the signal.  terminate() checks the local process
+                # itself — endpoint-level trust is irrelevant here, a
+                # distrusted-but-running worker must still be stopped.
+                handle.ep.terminate()
+        deadline = self.clock() + grace
+        for ep in eps:
+            ep.join(timeout=max(0.0, deadline - self.clock()))
+        for ep in eps:
+            ep.terminate()
+        deadline = self.clock() + grace
+        for ep in eps:
+            ep.join(timeout=max(0.0, deadline - self.clock()))
+        for ep in eps:
+            ep.kill_hard()
+        for ep in eps:
+            # SIGKILL cannot be caught: this join terminates, and it is
+            # what actually reaps the local child (no zombie left
+            # behind).  Endpoint close severs any remaining connection.
+            ep.join()
+            ep.close()
 
 
 class ProcessParallelEngine:
@@ -580,9 +1232,6 @@ class ProcessParallelEngine:
     max_task_retries:
         How many times a task lost to a crash or timeout is re-dispatched
         before being dropped (a drop marks the result not exhausted).
-    mp_context:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (fast worker startup), else ``spawn``.
     fault_hook:
         Test-only fault injector run in workers (see :class:`ClusterConfig`).
     collect_trace:
@@ -617,15 +1266,12 @@ class ProcessParallelEngine:
     fsync:
         Journal durability policy: ``"always"``, ``"batch"`` (default)
         or ``"off"``.
-    min_workers:
-        Graceful-degradation floor: when the supervisor can no longer
-        keep at least this many worker slots serviceable, the remaining
-        frontier is finished on an in-process engine instead of
-        aborting the run.
     supervisor:
-        Full :class:`~repro.core.supervisor.SupervisorPolicy`
-        (respawn backoff, poison threshold, slot failure limit).  When
-        given it wins over the *min_workers* convenience parameter.
+        :class:`~repro.core.supervisor.SupervisorPolicy` (respawn
+        backoff, poison threshold, slot failure limit, and the
+        ``min_workers`` graceful-degradation floor: below it the
+        remaining frontier is finished on an in-process engine instead
+        of aborting the run).
     chaos:
         A :class:`~repro.chaos.FaultPlan` wired into the three
         injection seams (worker fault hook, result-pipe hook, journal
@@ -675,12 +1321,10 @@ class ProcessParallelEngine:
         step counter demonstrably grows — a stalled worker cannot beat,
         so stalls still time out.
     flight_dir:
-        Directory for flight-recorder post-mortems: each worker's most
-        recent *flight_events* trace events (shipped inside heartbeats,
-        so they survive ``kill -9``) are dumped to a JSONL file when
-        the supervisor observes that worker crash or stall.
-    flight_events:
-        Ring capacity per worker for *flight_dir* (default 256).
+        Directory for flight-recorder post-mortems: each worker's 256
+        most recent trace events (shipped inside heartbeats, so they
+        survive ``kill -9``) are dumped to a JSONL file when the
+        supervisor observes that worker crash or stall.
     transport:
         The wire between coordinator and workers: ``"pipe"`` (default;
         local worker processes over duplex multiprocessing pipes) or
@@ -719,14 +1363,12 @@ class ProcessParallelEngine:
         max_solutions: Optional[int] = None,
         task_timeout: Optional[float] = 30.0,
         max_task_retries: int = 2,
-        mp_context: Optional[str] = None,
         fault_hook: Optional[Callable[[PrefixTask], None]] = None,
         collect_trace: Optional[bool] = None,
         verify: str = "off",
         journal: Optional[str] = None,
         resume: bool = False,
         fsync: str = "batch",
-        min_workers: int = 1,
         supervisor: Optional[SupervisorPolicy] = None,
         chaos=None,
         replay_mode: str = "off",
@@ -738,7 +1380,6 @@ class ProcessParallelEngine:
         status_interval: float = 0.5,
         heartbeat_interval: Optional[float] = None,
         flight_dir: Optional[str] = None,
-        flight_events: int = 256,
         transport: str = "pipe",
         listen: Optional[tuple] = None,
         lease_timeout: Optional[float] = None,
@@ -775,8 +1416,6 @@ class ProcessParallelEngine:
             raise ValueError("status_interval must be > 0")
         if heartbeat_interval is not None and heartbeat_interval < 0:
             raise ValueError("heartbeat_interval must be >= 0")
-        if flight_events < 1:
-            raise ValueError("flight_events must be >= 1")
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -812,8 +1451,7 @@ class ProcessParallelEngine:
             else (NondetLog() if replay_mode != "off" else None)
         )
         self.supervisor_policy = (
-            supervisor if supervisor is not None
-            else SupervisorPolicy(min_workers=min_workers)
+            supervisor if supervisor is not None else SupervisorPolicy()
         )
         self.status_port = status_port
         self.status_log = status_log
@@ -858,15 +1496,15 @@ class ProcessParallelEngine:
             ),
             heartbeat_interval=hb_interval,
             flight_events=(
-                flight_events
+                _FLIGHT_EVENTS
                 if flight_dir is not None and hb_interval is not None else 0
             ),
             steal_batch=batch_size,
         )
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         self.registry = MetricsRegistry("cluster-engine")
         self._next_wid = 0
 
@@ -885,28 +1523,6 @@ class ProcessParallelEngine:
         self.registry.reset()
         stats = SearchStats(registry=self.registry)
         reg = self.registry
-        c_dispatches = reg.counter("parallel.dispatches")
-        c_tasks = reg.counter("parallel.tasks_dispatched")
-        c_done = reg.counter("parallel.tasks_completed")
-        c_spilled = reg.counter("parallel.tasks_spilled")
-        c_crashes = reg.counter("parallel.worker_crashes")
-        c_timeouts = reg.counter("parallel.task_timeouts")
-        c_retries = reg.counter("parallel.tasks_retried")
-        c_dropped = reg.counter("parallel.tasks_dropped")
-        c_trace_merged = reg.counter("parallel.trace_events_merged")
-        c_trace_dropped = reg.counter("parallel.trace_dropped")
-        c_respawns = reg.counter("parallel.respawns")
-        c_poisoned = reg.counter("parallel.poisoned_tasks")
-        c_degraded = reg.counter("parallel.degraded_runs")
-        c_proto = reg.counter("parallel.protocol_errors")
-        c_resume_filtered = reg.counter("parallel.resume_spills_filtered")
-        c_heartbeats = reg.counter("telemetry.heartbeats")
-        c_flight = reg.counter("telemetry.flight_dumps")
-        c_steals = reg.counter("parallel.steals")
-        c_lease_expired = reg.counter("parallel.leases_expired")
-        c_fenced = reg.counter("parallel.fenced_stale")
-        c_joins = reg.counter("parallel.worker_joins")
-        g_workers = reg.gauge("parallel.workers")
 
         # Trace propagation: workers collect iff the coordinator traces,
         # unless explicitly overridden.  An override to False while a
@@ -927,100 +1543,58 @@ class ProcessParallelEngine:
                 stacklevel=2,
             )
 
+        # -- journal: open fresh, or recover and resume -----------------
         span = next(_run_spans)
-        run_status = RunStatus(
-            workers=self.num_workers, span=span, strategy=self.strategy_name,
-        )
-        self.status = run_status
-        server: Optional[StatusServer] = None
-        logger: Optional[StatusLogger] = None
-        flight: Optional[FlightRecorder] = None
-        if self.status_port is not None:
-            server = StatusServer(run_status, port=self.status_port).start()
-        self.status_server = server
-        if self.flight_dir is not None and run_config.flight_events > 0:
-            flight = FlightRecorder(
-                self.flight_dir, capacity=run_config.flight_events,
-            )
-        self.flight_recorder = flight
-        frontier = TaskFrontier(order=self.strategy_name)
-        solutions: list[Solution] = []
-        stop_reason: Optional[str] = None
-        degraded = False
-        #: Task keys already completed in the journaled run: a resumed
-        #: coordinator drops re-spills of these so a re-explored parent
-        #: (its own completion record lost to corruption) can never
-        #: double-count a child's already-durable solutions.
-        resume_completed: set[tuple[int, ...]] = set()
-        poisoned: list[tuple[PrefixTask, list]] = []
         recovered = None
         journal: Optional[JournalWriter] = None
         digest = program_digest(program)
         jhook = self.chaos.journal_hook if self.chaos is not None else None
-        sup = WorkerSupervisor(self.num_workers, self.supervisor_policy)
-
         nlog = self.replay_log  # coordinator's merged nondet-event log
-
+        root = PrefixTask(span=span)
         if self.resume:
             recovered = recover(self.journal_path)
             check_resume(recovered, digest, sites,
                          replay_mode=self.replay_mode)
             if nlog is not None and recovered.nondet_events:
                 nlog.merge_records(recovered.nondet_events)
+        if self.journal_path is not None:
             journal = JournalWriter(
                 self.journal_path, fsync=self.fsync,
-                start_epoch=recovered.last_epoch + 1,
-                truncate_to=recovered.valid_bytes,
+                start_epoch=recovered.last_epoch + 1 if recovered else 0,
+                truncate_to=recovered.valid_bytes if recovered else None,
                 fault_hook=jhook, registry=reg,
             )
-            for spath, status, text in recovered.solutions:
-                solutions.append(Solution(value=(status, text), path=spath))
-            resume_completed = set(recovered.completed_keys)
-            for task, evidence in recovered.poisoned:
-                sup.quarantine(task.key())
-                poisoned.append((task, evidence))
-            frontier.extend(recovered.pending)
+        if recovered is not None:
             journal.append(
                 "resume", span=span, pending=len(recovered.pending),
-                solutions=len(solutions), skipped=recovered.skipped,
-                torn=recovered.torn,
+                solutions=len(recovered.solutions),
+                skipped=recovered.skipped, torn=recovered.torn,
             )
-        else:
-            root = PrefixTask(span=span)
-            if self.journal_path is not None:
-                journal = JournalWriter(
-                    self.journal_path, fsync=self.fsync,
-                    fault_hook=jhook, registry=reg,
-                )
-                journal.append(
-                    "run_begin",
-                    version=JOURNAL_VERSION,
-                    program=digest,
-                    span=span,
-                    strategy=self.strategy_name,
-                    workers=self.num_workers,
-                    batch_size=self.batch_size,
-                    subtree_depth=self.config.subtree_depth,
-                    task_step_budget=self.config.task_step_budget,
-                    max_steps=self.config.max_steps_per_extension,
-                    max_solutions=self.max_solutions,
-                    replay_mode=self.replay_mode,
-                    transport=self.transport_name,
-                    lease_timeout=self.lease_timeout,
-                    certified=(None if sites is None else not sites),
-                    nondet_sites=(
-                        None if sites is None
-                        else [[pc, lint] for pc, lint in sites]
-                    ),
-                    root=root.to_record(),
-                )
-            frontier.push(root)
+        elif journal is not None:
+            journal.append(
+                "run_begin",
+                version=JOURNAL_VERSION,
+                program=digest,
+                span=span,
+                strategy=self.strategy_name,
+                workers=self.num_workers,
+                batch_size=self.batch_size,
+                subtree_depth=self.config.subtree_depth,
+                task_step_budget=self.config.task_step_budget,
+                max_steps=self.config.max_steps_per_extension,
+                max_solutions=self.max_solutions,
+                replay_mode=self.replay_mode,
+                transport=self.transport_name,
+                lease_timeout=self.lease_timeout,
+                certified=(None if sites is None else not sites),
+                nondet_sites=(
+                    None if sites is None
+                    else [[pc, lint] for pc, lint in sites]
+                ),
+                root=root.to_record(),
+            )
 
-        poll = 0.02 if self.task_timeout is None else min(
-            0.02, self.task_timeout / 4
-        )
-
-        # -- transport, leases, steal pool ------------------------------
+        # -- transport ---------------------------------------------------
         if self.transport_name == "tcp":
             host, port = self.listen if self.listen is not None else (
                 "127.0.0.1", 0,
@@ -1041,18 +1615,8 @@ class ProcessParallelEngine:
             transport = PipeTransport(
                 self._ctx, _worker_main, start_wid=self._next_wid,
             )
-        transport.start(program, run_config)
-        self.transport_address = transport.address
-        #: Wire-level observations (chaos net faults) arrive from the
-        #: transport's loop thread; the tracer is single-threaded, so
-        #: they are buffered here and drained into the trace by the
-        #: coordinator loop.  deque.append is atomic under the GIL.
-        wire_events: deque = deque()
-        if self.transport_name == "tcp" and _TRACER.enabled:
-            transport.on_wire_event = (
-                lambda kind, **f: wire_events.append((kind, f))
-            )
 
+        # -- the coordinator ---------------------------------------------
         #: Leases expire a bit *after* the stall detector would have
         #: fired: the stall path (which kills the worker) stays primary;
         #: lease expiry is the backstop for results lost in flight and
@@ -1060,727 +1624,88 @@ class ProcessParallelEngine:
         lease_s = self.lease_timeout
         if lease_s is None and self.task_timeout is not None:
             lease_s = self.task_timeout * 1.5
+        clock = time.monotonic
         leases = LeaseTable(
             duration=lease_s,
             start_fence=(
                 recovered.last_fence + 1 if recovered is not None else 1
             ),
+            clock=clock,
         )
-        #: Every task key settled this run (superset of the resumed
-        #: completed set): the second line of defence against double
-        #: counting, behind fence matching.
-        completed_keys: set[tuple[int, ...]] = set(resume_completed)
-        #: wids with unfulfilled steal announcements, FIFO.
-        steal_queue: deque[int] = deque()
-        by_wid: dict[int, _WorkerHandle] = {}
-
-        def make_handle(ep, slot_index: int) -> _WorkerHandle:
-            handle = _WorkerHandle(ep, slot_index)
-            handle.last_progress = time.monotonic()
-            by_wid[ep.wid] = handle
-            return handle
-
-        handles: list[Optional[_WorkerHandle]] = [
-            make_handle(transport.spawn(), i)
-            for i in range(self.num_workers)
-        ]
-        g_workers.set(self.num_workers)
-
-        track_status = self._telemetry
-        status_every = min(0.25, self.status_interval)
-        last_refresh = 0.0
-
-        def worker_health() -> list[dict]:
-            health = sup.health()
-            for entry in health:
-                handle = handles[entry["slot"]]
-                entry["worker"] = handle.wid if handle is not None else None
-                entry["busy"] = bool(handle is not None and handle.busy)
-            return health
-
-        def maybe_refresh(force: bool = False) -> None:
-            nonlocal last_refresh
-            if not track_status:
-                return
-            now = time.monotonic()
-            if not force and now - last_refresh < status_every:
-                return
-            last_refresh = now
-            run_status.refresh(
-                reg.state_dict(),
-                pending=len(frontier),
-                in_flight=sum(
-                    len(h.pending) for h in handles if h is not None
-                ),
-                solutions=len(solutions),
-                health=worker_health(),
-            )
-
-        maybe_refresh(force=True)
-        if self.status_log is not None:
-            logger = StatusLogger(
-                run_status, self.status_log, interval=self.status_interval,
-            ).start()
-
-        def journal_append(rtype: str, **fields) -> None:
-            if journal is not None:
-                journal.append(rtype, **fields)
-
-        def solutions_payload(task_solutions) -> list:
-            return [
-                [list(path), status, text]
-                for path, status, text in task_solutions
-            ]
-
-        def batch_events(batch) -> list:
-            """Recorded events every task in *batch* may replay through."""
-            if nlog is None:
-                return []
-            picked: dict = {}
-            for task in batch:
-                for event in nlog.events_for_task(task.prefix):
-                    picked[event.key()] = event
-            return list(picked.values())
-
-        def absorb_events(fresh_events) -> None:
-            """Merge worker-recorded events and make them durable.
-
-            The ``nondet`` record must land *before* the task's
-            ``complete`` record: if the completion is later lost, the
-            re-explored subtree replays these events and reproduces the
-            durable solutions instead of re-rolling them.
-            """
-            if nlog is None or not fresh_events:
-                return
-            nlog.merge(fresh_events)
-            journal_append(
-                "nondet", events=[e.to_record() for e in fresh_events]
-            )
-
-        def push_tasks(tasks) -> None:
-            for task in tasks:
-                key = task.key()
-                if key in completed_keys:
-                    if key in resume_completed:
-                        c_resume_filtered.inc()
-                    continue
-                if sup.is_poisoned(key):
-                    continue  # quarantined: never re-dispatched
-                frontier.push(task)
-
-        def reclaim(handle: _WorkerHandle, reason: str) -> None:
-            """Revoke *handle*'s leases, requeue the tasks (no blame).
-
-            Used when the worker is believed healthy but its results
-            were lost in flight (it announced a steal while the
-            coordinator still held leases for it): the revocation
-            fences off any late duplicate, the requeue re-executes.
-            """
-            tasks, handle.pending = list(handle.pending), []
-            for task in tasks:
-                lease = leases.revoke(task.key())
-                if lease is None or lease.fence != task.fence:
-                    continue  # superseded already (expired, re-granted)
-                c_lease_expired.inc()
-                journal_append("expire", task=task.to_record(),
-                               fence=task.fence, worker=handle.wid,
-                               reason=reason)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.PARALLEL_LEASE_EXPIRED,
-                        task=list(task.prefix), fence=task.fence,
-                        worker=handle.wid,
-                    )
-                if (task.key() in completed_keys
-                        or sup.is_poisoned(task.key())):
-                    continue
-                if task.attempt >= self.max_task_retries:
-                    c_dropped.inc()
-                    journal_append("drop", task=task.to_record())
-                    if _TRACER.enabled:
-                        _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
-                    continue
-                c_retries.inc()
-                frontier.push(task.retried())
-
-        def fail_worker(slot, handle: _WorkerHandle, kind: str,
-                        detail: str = "") -> None:
-            """Account one worker death: blame, requeue, schedule respawn."""
-            if flight is not None:
-                flight.record_failure(
-                    handle.wid, kind, detail,
-                    task=(
-                        list(handle.pending[0].prefix)
-                        if handle.pending else None
-                    ),
+        sup = WorkerSupervisor(self.num_workers, self.supervisor_policy,
+                               clock=clock)
+        coord = _Coordinator(self, transport, leases, sup, journal, clock,
+                             span=span)
+        if recovered is not None:
+            for spath, status, text in recovered.solutions:
+                coord.solutions.append(
+                    Solution(value=(status, text), path=spath)
                 )
-                c_flight.inc()
-            run_status.on_worker_failed(handle.wid)
-            if kind == "timeout":
-                c_timeouts.inc()
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_TIMEOUT, worker=handle.wid)
-            else:
-                c_crashes.inc()
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_CRASH, worker=handle.wid)
-            # Sever trust in the endpoint.  For pipes this also
-            # terminates the process; for TCP it only disconnects — a
-            # partitioned worker cannot be signalled either, and its
-            # possible resurfacing (with now-stale fences) is exactly
-            # the case the lease table exists for.
-            handle.ep.kill()
-            # Fence off everything the worker still owed us: whatever
-            # it delivers from here on settles as stale.
-            leases.revoke_worker(handle.wid)
-            # Workers run their batch in dispatch order and report per
-            # task, so the first unreported task is the one that was
-            # executing: the suspect.  Batch-mates are requeued without
-            # an attempt bump — they are collateral, not culprits.
-            suspect = handle.pending[0] if handle.pending else None
-            decision = sup.record_failure(
-                slot, handle.wid, kind,
-                suspect.key() if suspect is not None else None, detail,
-            )
-            requeue: list[PrefixTask] = []
-            if suspect is not None:
-                if decision.poison:
-                    c_poisoned.inc()
-                    poisoned.append((suspect, decision.evidence))
-                    journal_append("poisoned", task=suspect.to_record(),
-                                   evidence=decision.evidence)
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.PARALLEL_POISONED,
-                            task=list(suspect.prefix),
-                            kills=len(decision.evidence),
-                        )
-                elif suspect.attempt >= self.max_task_retries:
-                    c_dropped.inc()
-                    journal_append("drop", task=suspect.to_record())
-                    if _TRACER.enabled:
-                        _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
-                else:
-                    requeue.append(suspect.retried())
-                requeue.extend(handle.pending[1:])
-            handle.pending = []
-            handles[slot.index] = None
-            if by_wid.get(handle.wid) is handle:
-                del by_wid[handle.wid]
-            if requeue:
-                c_retries.inc(len(requeue))
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_RETRY, worker=handle.wid,
-                                 tasks=len(requeue))
-                # Requeue lost tasks ahead of everything else so retries
-                # bound the damage a flaky worker can do to latency.
-                for task in requeue:
-                    frontier.push(task)
-
-        def register_join(ep, detail: str = "") -> None:
-            """An external (or resurfaced) worker completed the
-            handshake: give it a non-respawnable slot and let it steal."""
-            slot = sup.add_slot(respawnable=False)
-            handles.append(make_handle(ep, slot.index))
-            c_joins.inc()
-            g_workers.set(
-                sum(1 for h in handles if h is not None)
-            )
-            journal_append("join", worker=ep.wid, detail=detail)
-            if _TRACER.enabled:
-                _TRACER.emit(_events.PARALLEL_JOIN, worker=ep.wid,
-                             detail=detail)
-
-        def run_degraded() -> None:
-            """Finish the frontier in-process after pool collapse.
-
-            The in-process engine is the same :class:`_SubtreeWorker`
-            stack the workers run, so semantics are identical; fault
-            and pipe hooks are stripped (injected worker faults would
-            kill the coordinator, and there is no pipe).
-            """
-            local_config = dataclasses.replace(
-                run_config, fault_hook=None, pipe_hook=None,
-                collect_trace=False,
-            )
-            # The in-process worker records straight into the
-            # coordinator's log; drained fresh events are journaled the
-            # same way a remote worker's shipped events are.
-            local = _SubtreeWorker(program, local_config, replay_log=nlog)
-            while frontier:
-                if (
-                    self.max_solutions is not None
-                    and len(solutions) >= self.max_solutions
-                ):
-                    break
-                task = frontier.pop()
-                journal_append("dispatch", task=task.to_record(), worker=-1)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_BEGIN, worker=-1,
-                        task=list(task.prefix), depth=task.depth,
-                        span=task.span, attempt=task.attempt,
-                    )
-                remaining = (
-                    None if self.max_solutions is None
-                    else max(self.max_solutions - len(solutions), 0)
-                )
-                task_solutions, spilled = local.explore(task, remaining)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_END, worker=-1,
-                        task=list(task.prefix), span=task.span,
-                        solutions=len(task_solutions), spilled=len(spilled),
-                        explore_steps=local._steps_counter.value,
-                        replay_steps=local._replay_counter.value,
-                        task_s=local._task_timer.total_s,
-                    )
-                reg.merge_state(local.registry.state_dict())
-                local.registry.reset()
-                c_done.inc()
-                c_spilled.inc(len(spilled))
-                run_status.on_task_complete(
-                    -1, task.fanouts, len(task_solutions),
-                    [t.fanouts for t in spilled],
-                )
-                push_tasks(spilled)
-                maybe_refresh()
-                if local.recorder is not None:
-                    fresh = local.recorder.drain_fresh()
-                    if fresh:  # already merged: it records into nlog
-                        journal_append(
-                            "nondet",
-                            events=[e.to_record() for e in fresh],
-                        )
-                journal_append(
-                    "complete", task=task.to_record(),
-                    solutions=solutions_payload(task_solutions),
-                    spilled=[t.to_record() for t in spilled],
-                )
-                for spath, status, text in task_solutions:
-                    solutions.append(Solution(value=(status, text), path=spath))
+            coord.resume_completed = set(recovered.completed_keys)
+            coord.completed = set(recovered.completed_keys)
+            for task, evidence in recovered.poisoned:
+                sup.quarantine(task.key())
+                coord.poisoned.append((task, evidence))
+            coord.frontier.extend(recovered.pending)
+        else:
+            coord.frontier.push(root)
+        self.status = coord.status
+        self.flight_recorder = coord.flight
+        server: Optional[StatusServer] = None
+        logger: Optional[StatusLogger] = None
+        if self.status_port is not None:
+            server = StatusServer(coord.status, port=self.status_port).start()
+        self.status_server = server
 
         try:
-            while True:
-                if (
-                    self.max_solutions is not None
-                    and len(solutions) >= self.max_solutions
-                ):
-                    stop_reason = "max_solutions"
-                    break
-                maybe_refresh()
-
-                now = time.monotonic()
-                for slot in sup.respawn_ready(now):
-                    replacement = make_handle(transport.spawn(), slot.index)
-                    handles[slot.index] = replacement
-                    sup.mark_running(slot)
-                    c_respawns.inc()
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.PARALLEL_RESPAWN, worker=replacement.wid,
-                            slot=slot.index, failures=slot.failures,
-                        )
-
-                if sup.collapsed() and (
-                    frontier
-                    or any(h is not None and h.busy for h in handles)
-                ):
-                    degraded = True
-                    break
-
-                # Fulfil steal announcements off the frontier.  Workers
-                # *pull*: an idle worker announces capacity and the
-                # coordinator grants it a leased batch — nothing is
-                # pushed unsolicited, so a slow worker never queues work
-                # it cannot start while a fast one sits idle.
-                while steal_queue and frontier:
-                    wid = steal_queue.popleft()
-                    handle = by_wid.get(wid)
-                    if handle is None or handle.busy:
-                        continue  # died or was re-dispatched meanwhile
-                    slot = sup.slots[handle.slot_index]
-                    if slot.state is not SlotState.RUNNING:
-                        continue
-                    if not handle.ep.alive():
-                        fail_worker(slot, handle, "crash",
-                                    "worker died while idle")
-                        continue
-                    want = max(1, min(handle.want, self.batch_size))
-                    handle.want = 0
-                    batch = frontier.take_batch(want)
-                    remaining = (
-                        None if self.max_solutions is None
-                        else max(self.max_solutions - len(solutions), 0)
-                    )
-                    granted = [
-                        leases.grant(task, handle.wid).task for task in batch
-                    ]
-                    handle.pending = list(granted)
-                    handle.last_progress = time.monotonic()
-                    handle.crossed_steal = False
-                    try:
-                        handle.ep.send(("work", granted, remaining,
-                                        batch_events(granted)))
-                    except EndpointDown:
-                        fail_worker(slot, handle, "crash",
-                                    "dispatch channel closed")
-                        continue
-                    c_dispatches.inc()
-                    c_tasks.inc(len(granted))
-                    for task in granted:
-                        journal_append("dispatch", task=task.to_record(),
-                                       worker=handle.wid)
-                    if _TRACER.enabled:
-                        _TRACER.emit(_events.PARALLEL_DISPATCH,
-                                     worker=handle.wid, tasks=len(granted))
-
-                busy_count = sum(
-                    1 for h in handles if h is not None and h.busy
-                )
-                if not busy_count and not frontier:
-                    break  # frontier exhausted, nothing in flight
-                timeout = poll
-                if not busy_count:
-                    # Everything runnable is mid-backoff (or tasks were
-                    # just requeued): wait to the nearest respawn
-                    # deadline instead of spinning.  The transport still
-                    # gets polled — a TCP pool can gain an external
-                    # joiner while every local slot is down.
-                    due = sup.next_respawn_due()
-                    if due is not None:
-                        timeout = min(poll, max(0.0, due - time.monotonic()))
-
-                events = transport.poll(max(0.0, timeout))
-                now = time.monotonic()
-                while wire_events:
-                    kind, f = wire_events.popleft()
-                    if kind == "net_fault" and _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.CHAOS_NET_FAULT,
-                            action=f.get("kind"),
-                            direction=f.get("direction"),
-                            worker=f.get("worker"), seq=f.get("seq"),
-                        )
-                for ev in events:
-                    if ev.kind == "join":
-                        register_join(ev.endpoint, ev.detail)
-                        continue
-                    handle = by_wid.get(ev.endpoint.wid)
-                    if handle is None or handle.ep is not ev.endpoint:
-                        continue  # failed/replaced earlier this sweep
-                    slot = sup.slots[handle.slot_index]
-                    if ev.kind == "down":
-                        if ev.protocol_error:
-                            c_proto.inc()
-                        fail_worker(slot, handle, ev.fail_kind or "crash",
-                                    ev.detail)
-                        continue
-                    msg = ev.payload
-                    if (
-                        not isinstance(msg, tuple)
-                        or len(msg) < 3
-                        or msg[0] not in ("task", "error", "hb", "steal")
-                        or (msg[0] == "task" and len(msg) != 9)
-                        or (msg[0] == "hb"
-                            and not (len(msg) == 3
-                                     and isinstance(msg[2], HeartbeatRecord)))
-                        or (msg[0] == "steal"
-                            and not (len(msg) == 4
-                                     and isinstance(msg[2], int)
-                                     and isinstance(msg[3], int)))
-                    ):
-                        c_proto.inc()
-                        fail_worker(slot, handle, "crash",
-                                    f"malformed result message {msg!r}"[:200])
-                        continue
-                    if msg[0] == "steal":
-                        if handle.busy:
-                            latest = max(t.fence for t in handle.pending)
-                            if msg[3] < latest and not handle.crossed_steal:
-                                # Sent before the worker received its
-                                # latest batch: the two crossed in
-                                # flight, and the worker announces again
-                                # once that batch is done.
-                                handle.crossed_steal = True
-                                continue
-                            # The worker says it is idle while the
-                            # coordinator still holds leases for it:
-                            # either it saw every batch and the results
-                            # were lost, or it re-announced without
-                            # seeing the latest batch and the work was
-                            # lost (dropped frames, a reconnect).
-                            # Reclaim eagerly — the requeue re-executes,
-                            # and the revoked fences turn any late
-                            # duplicate delivery into a discarded stale.
-                            reclaim(handle, "steal while leases held")
-                        handle.want = msg[2]
-                        if handle.wid not in steal_queue:
-                            steal_queue.append(handle.wid)
-                            c_steals.inc()
-                            if _TRACER.enabled:
-                                _TRACER.emit(
-                                    _events.PARALLEL_STEAL,
-                                    worker=handle.wid, want=msg[2],
-                                )
-                        continue
-                    if msg[0] == "hb":
-                        record: HeartbeatRecord = msg[2]
-                        c_heartbeats.inc()
-                        progressed = run_status.observe_heartbeat(record)
-                        if flight is not None and record.events:
-                            flight.extend(handle.wid, record.events)
-                        if progressed and handle.busy:
-                            # The worker's step counter grew: its task
-                            # is alive, defer the stall timeout.  (A
-                            # stalled worker cannot beat, so real
-                            # stalls still trip it.)  Leases ride the
-                            # same signal — observed progress renews
-                            # ownership.
-                            handle.last_progress = now
-                            leases.extend_worker(handle.wid, now)
-                        continue
-                    if msg[0] == "error":
-                        if str(msg[2]).startswith(
-                            "ReplayDivergenceError:"
-                        ):
-                            # Surface a worker's replay divergence as
-                            # itself: callers catch the typed error the
-                            # same way whichever engine detected it.
-                            raise ReplayDivergenceError(
-                                f"worker {msg[1]}: {msg[2]}"
-                            )
-                        raise WorkerError(msg[1], msg[2])
-                    (_kind, _wid, key, fence, task_solutions, spilled,
-                     state, segment, fresh_events) = msg
-                    key = tuple(key)
-                    # A result is progress on the whole batch: the
-                    # holder is alive and working through it in order,
-                    # so the stall timer and the batch-mates' leases
-                    # both restart, and a slow batch keeps its tail.
-                    handle.last_progress = now
-                    leases.extend_worker(handle.wid, now)
-                    if leases.settle(key, fence) == "stale":
-                        # A fenced-off result: the lease expired (or the
-                        # worker was declared down) and the task was
-                        # re-dispatched, or this is a duplicated
-                        # delivery.  Discard it *wholesale* — no
-                        # registry merge, no solutions, no spills, no
-                        # journal complete — so the accepted execution
-                        # remains the only accounting of this subtree.
-                        c_fenced.inc()
-                        journal_append(
-                            "stale", task={"prefix": list(key)},
-                            fence=fence, worker=handle.wid,
-                        )
-                        if _TRACER.enabled:
-                            _TRACER.emit(
-                                _events.PARALLEL_FENCED_STALE,
-                                worker=handle.wid, task=list(key),
-                                fence=fence,
-                            )
-                        for i, task in enumerate(handle.pending):
-                            if task.key() == key and task.fence == fence:
-                                handle.pending.pop(i)
-                                break
-                        continue
-                    completed: Optional[PrefixTask] = None
-                    for i, task in enumerate(handle.pending):
-                        if task.key() == key:
-                            completed = handle.pending.pop(i)
-                            break
-                    completed_keys.add(key)
-                    sup.record_success(slot)
-                    c_done.inc()
-                    c_spilled.inc(len(spilled))
-                    reg.merge_state(state)
-                    run_status.on_task_complete(
-                        handle.wid,
-                        completed.fanouts if completed is not None else (),
-                        len(task_solutions),
-                        [t.fanouts for t in spilled],
-                    )
-                    push_tasks(spilled)
-                    absorb_events(fresh_events)
-                    journal_append(
-                        "complete",
-                        task=(
-                            completed.to_record() if completed is not None
-                            else {"prefix": list(key), "fanouts": []}
-                        ),
-                        worker=handle.wid,
-                        solutions=solutions_payload(task_solutions),
-                        spilled=[t.to_record() for t in spilled],
-                    )
-                    for spath, status, text in task_solutions:
-                        solutions.append(
-                            Solution(value=(status, text), path=spath)
-                        )
-                    if _TRACER.enabled:
-                        # Splice the worker's buffered segment in between
-                        # its dispatch and its result event, so the merged
-                        # stream stays causally ordered.
-                        if segment:
-                            c_trace_merged.inc(
-                                _TRACER.ingest(segment, worker=handle.wid)
-                            )
-                        elif segment is None:
-                            # The worker never collected: its events for
-                            # this task are gone.  Count the loss.
-                            c_trace_dropped.inc()
-                        _TRACER.emit(
-                            _events.PARALLEL_RESULT, worker=handle.wid,
-                            solutions=len(task_solutions),
-                            spilled=len(spilled),
-                        )
-                for slot in sup.slots:
-                    handle = handles[slot.index]
-                    if handle is None or not handle.busy:
-                        continue  # failed or drained earlier this sweep
-                    if not handle.ep.alive():
-                        fail_worker(slot, handle, "crash",
-                                    "worker process died")
-                    elif (
-                        self.task_timeout is not None
-                        and now - handle.last_progress > self.task_timeout
-                    ):
-                        fail_worker(
-                            slot, handle, "timeout",
-                            f"no progress for {self.task_timeout:.1f}s",
-                        )
-
-                # Lease expiry is the *backstop* behind the stall
-                # detector above (leases outlive the task timeout by
-                # design): it fires when results were lost in flight or
-                # a partitioned worker still looks alive.  The expired
-                # fence is retired, the task requeued under a fresh one;
-                # whatever the old holder eventually delivers settles
-                # stale.
-                for lease in leases.expired(now):
-                    c_lease_expired.inc()
-                    journal_append(
-                        "expire", task=lease.task.to_record(),
-                        fence=lease.fence, worker=lease.wid,
-                        reason="lease expired",
-                    )
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.PARALLEL_LEASE_EXPIRED,
-                            task=list(lease.key), fence=lease.fence,
-                            worker=lease.wid,
-                        )
-                    holder = by_wid.get(lease.wid)
-                    if holder is not None:
-                        holder.pending = [
-                            t for t in holder.pending
-                            if not (t.key() == lease.key
-                                    and t.fence == lease.fence)
-                        ]
-                    if (lease.key in completed_keys
-                            or sup.is_poisoned(lease.key)):
-                        continue
-                    if lease.task.attempt >= self.max_task_retries:
-                        c_dropped.inc()
-                        journal_append("drop", task=lease.task.to_record())
-                        if _TRACER.enabled:
-                            _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
-                        continue
-                    c_retries.inc()
-                    frontier.push(lease.task.retried())
-
-            if degraded:
-                # Reclaim in-flight tasks, drop the dead pool, and
-                # finish what remains on an in-process engine.  Every
-                # live lease is drained with it: from here the
-                # coordinator is the only executor, so any late remote
-                # result is stale by construction.
-                for slot in sup.slots:
-                    handle = handles[slot.index]
-                    if handle is not None and handle.pending:
-                        frontier.extend(handle.pending)
-                        handle.pending = []
-                leases.drain()
-                self._shutdown([h for h in handles if h is not None])
-                handles = [None] * len(handles)
-                by_wid.clear()
-                steal_queue.clear()
-                g_workers.set(0)
-                c_degraded.inc()
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_DEGRADED,
-                                 pending=len(frontier))
-                journal_append("degraded", pending=len(frontier))
-                run_degraded()
-
-            # Normal completion: seal the journal.  Any exception path
-            # (worker error, chaos kill) skips this, leaving the journal
-            # resumable.
-            if (
-                stop_reason is None
-                and self.max_solutions is not None
-                and len(solutions) >= self.max_solutions
-            ):
-                stop_reason = "max_solutions"
-            if stop_reason is None and poisoned:
-                stop_reason = "tasks_poisoned"
-            if stop_reason is None and c_dropped.value:
-                stop_reason = "task_retries_exhausted"
-            if self.max_solutions is not None:
-                del solutions[self.max_solutions:]
-            journal_append(
-                "run_end", stop_reason=stop_reason,
-                exhausted=stop_reason is None, solutions=len(solutions),
-            )
+            transport.start(program, run_config)
+            self.transport_address = transport.address
+            if self.transport_name == "tcp" and _TRACER.enabled:
+                transport.on_wire_event = coord.on_wire_event
+            coord.start()
+            if self.status_log is not None:
+                logger = StatusLogger(
+                    coord.status, self.status_log,
+                    interval=self.status_interval,
+                ).start()
+            coord.run(program, run_config)
         finally:
-            self._shutdown([h for h in handles if h is not None])
+            coord.shutdown()
             transport.close()
             # Worker ids stay unique across a coordinator's runs even
             # though each run builds a fresh transport.
             self._next_wid = transport._next_wid
-            g_workers.set(0)
+            reg.gauge("parallel.workers").set(0)
             if journal is not None:
                 journal.close()
             # Seal the status on every exit path (exceptions included):
             # uncommitted heartbeat states are dropped, so from here the
             # status metrics mirror the engine registry.
-            run_status.finalize(
-                reg.state_dict(), pending=len(frontier),
-                solutions=len(solutions), health=worker_health(),
-                stop_reason=stop_reason, degraded=degraded,
-            )
+            self._finalize(coord)
             if logger is not None:
                 logger.stop()
             if server is not None:
                 server.stop()
 
+        frontier = coord.frontier
         stats.peak_frontier = max(stats.peak_frontier, frontier.peak)
         stats.extra.update({
             "workers": self.num_workers,
             "transport": self.transport_name,
             "strategy_order": self.strategy_name,
-            "tasks_dispatched": c_tasks.value,
-            "tasks_completed": c_done.value,
-            "tasks_spilled": c_spilled.value,
-            "tasks_retried": c_retries.value,
-            "tasks_dropped": c_dropped.value,
-            "tasks_poisoned": len(poisoned),
-            "worker_crashes": c_crashes.value,
-            "task_timeouts": c_timeouts.value,
-            "respawns": c_respawns.value,
-            "protocol_errors": c_proto.value,
-            "degraded": bool(c_degraded.value),
+            "tasks_poisoned": len(coord.poisoned),
+            "degraded": bool(reg.counter("parallel.degraded_runs").value),
             "min_workers": self.supervisor_policy.min_workers,
-            "steals": c_steals.value,
-            "leases_expired": c_lease_expired.value,
-            "fenced_stale": c_fenced.value,
-            "worker_joins": c_joins.value,
             "lease_timeout": lease_s,
             "peak_task_frontier": frontier.peak,
-            "replay_steps": reg.counter("parallel.replay_steps").value,
-            "guest_instructions": reg.counter("parallel.guest_steps").value,
-            "trace_events_merged": c_trace_merged.value,
-            "trace_dropped": c_trace_dropped.value,
             "trace_span": span,
+        })
+        stats.extra.update(
+            (name, reg.counter("parallel." + name).value)
+            for name in _EXTRA_COUNTERS
+        )
+        stats.extra.update({
+            "guest_instructions": reg.counter("parallel.guest_steps").value,
             "snapshots_taken": reg.counter("snapshot.taken").value,
             "snapshots_restored": reg.counter("snapshot.restored").value,
             "frames_copied": reg.counter("mem.frames_copied").value,
@@ -1805,74 +1730,39 @@ class ProcessParallelEngine:
                 ),
                 "journal_skipped": recovered.skipped if recovered else 0,
                 "journal_torn": recovered.torn if recovered else 0,
-                "resume_spills_filtered": c_resume_filtered.value,
+                "resume_spills_filtered": reg.counter(
+                    "parallel.resume_spills_filtered"
+                ).value,
             })
-        if poisoned:
+        if coord.poisoned:
             stats.extra["poisoned_tasks"] = [
                 {"task": task.to_record(), "evidence": evidence}
-                for task, evidence in poisoned
+                for task, evidence in coord.poisoned
             ]
-        if track_status:
-            stats.extra["heartbeats"] = c_heartbeats.value
+        if self._telemetry:
+            stats.extra["heartbeats"] = reg.counter(
+                "telemetry.heartbeats"
+            ).value
             if server is not None:
                 stats.extra["status_url"] = server.url
             if self.status_log is not None:
                 stats.extra["status_log"] = self.status_log
-            if flight is not None:
-                stats.extra["flight_dumps"] = list(flight.dumps)
+            if coord.flight is not None:
+                stats.extra["flight_dumps"] = list(coord.flight.dumps)
         # Re-seal after the peak_frontier gauge write above, so the
         # status metrics equal the registry's true final state exactly.
-        run_status.finalize(
-            reg.state_dict(), pending=len(frontier),
-            solutions=len(solutions), health=worker_health(),
-            stop_reason=stop_reason, degraded=degraded,
-        )
+        self._finalize(coord)
         return SearchResult(
-            solutions=solutions,
+            solutions=coord.solutions,
             stats=stats,
             strategy=self.strategy_name,
-            exhausted=stop_reason is None,
-            stop_reason=stop_reason,
+            exhausted=coord.stop_reason is None,
+            stop_reason=coord.stop_reason,
         )
 
-    # ------------------------------------------------------------------
-
-    def _shutdown(self, handles: list[_WorkerHandle],
-                  grace: float = 2.0) -> None:
-        """Stop every worker; escalate poison -> terminate -> kill.
-
-        Idle workers get the poison pill; busy ones are terminated at
-        once (their tasks are lost by construction).  Each escalation
-        stage shares one deadline across the pool, so shutdown latency
-        is bounded by ~2 * grace however many workers are stuck, and
-        the final blocking ``join`` after SIGKILL guarantees every
-        local child is reaped — no zombies survive this call.
-        External (joined) TCP workers have no local process: poisoning
-        them asks them to exit and closing the endpoint severs the
-        connection, which is all a remote peer can be given.
-        """
-        for handle in handles:
-            if handle.ep.alive() and not handle.busy:
-                handle.ep.poison()
-            else:
-                # No trusted connection (or mid-task): go straight to
-                # the signal.  terminate() checks the local process
-                # itself — endpoint-level trust is irrelevant here, a
-                # distrusted-but-running worker must still be stopped.
-                handle.ep.terminate()
-        deadline = time.monotonic() + grace
-        for handle in handles:
-            handle.ep.join(timeout=max(0.0, deadline - time.monotonic()))
-        for handle in handles:
-            handle.ep.terminate()
-        deadline = time.monotonic() + grace
-        for handle in handles:
-            handle.ep.join(timeout=max(0.0, deadline - time.monotonic()))
-        for handle in handles:
-            handle.ep.kill_hard()
-        for handle in handles:
-            # SIGKILL cannot be caught: this join terminates, and it is
-            # what actually reaps the local child (no zombie left
-            # behind).  Endpoint close severs any remaining connection.
-            handle.ep.join()
-            handle.ep.close()
+    def _finalize(self, coord: _Coordinator) -> None:
+        coord.status.finalize(
+            self.registry.state_dict(), pending=len(coord.frontier),
+            solutions=len(coord.solutions), health=coord.health(),
+            stop_reason=coord.stop_reason, degraded=coord.degraded,
+        )

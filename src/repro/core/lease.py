@@ -92,6 +92,7 @@ class LeaseTable:
         return lease.wid if lease is not None else None
 
     def owned_by(self, wid: int) -> list[Lease]:
+        """*wid*'s live leases, in grant order."""
         return [l for l in self._live.values() if l.wid == wid]
 
     # -- transitions ---------------------------------------------------
@@ -116,6 +117,8 @@ class LeaseTable:
             expires_at=(None if self.duration is None
                         else now + self.duration),
         )
+        # Re-insert, so the table iterates in grant order.
+        self._live.pop(lease.key, None)
         self._live[lease.key] = lease
         return lease
 
@@ -138,7 +141,8 @@ class LeaseTable:
         return self._live.pop(tuple(key), None)
 
     def revoke_worker(self, wid: int) -> list[Lease]:
-        """Drop every live lease owned by *wid* (worker declared down)."""
+        """Drop every live lease owned by *wid* (worker declared down);
+        returns them in grant order."""
         mine = [l for l in self._live.values() if l.wid == wid]
         for lease in mine:
             del self._live[lease.key]

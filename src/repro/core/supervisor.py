@@ -30,7 +30,8 @@ slot and a circuit breaker per task:
 * **Graceful degradation**: when fewer than ``min_workers`` slots
   remain serviceable the engine stops paying process overhead for a
   pool that cannot sustain it and finishes the remaining frontier on an
-  in-process engine (see ``ProcessParallelEngine._run_degraded``).
+  in-process engine (see ``_Coordinator.finish_in_process`` in
+  :mod:`repro.core.cluster`).
 
 The supervisor is pure bookkeeping — it never spawns or kills anything
 itself.  The engine asks it what to do; that keeps every transition unit

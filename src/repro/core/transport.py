@@ -165,7 +165,26 @@ class TransportEvent:
 # ----------------------------------------------------------------------
 
 
-class PipeEndpoint:
+class _ProcessSignals:
+    """Signals and reaping for an endpoint's local worker process
+    (``proc`` None: a remote peer, which no signal can reach)."""
+
+    proc = None
+
+    def terminate(self) -> None:
+        if self.proc is not None and self.proc.is_alive():
+            self.proc.terminate()
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        if self.proc is not None:
+            self.proc.join(timeout=timeout)
+
+    def kill_hard(self) -> None:
+        if self.proc is not None and self.proc.is_alive():
+            self.proc.kill()
+
+
+class PipeEndpoint(_ProcessSignals):
     """A local worker process reached over a duplex mp pipe."""
 
     external = False
@@ -194,30 +213,13 @@ class PipeEndpoint:
         except (OSError, ValueError):
             pass
 
-    def terminate(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self.proc.join(timeout=timeout)
-
-    def kill_hard(self) -> None:
-        if self.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            self.proc.kill()
-
     def kill(self) -> None:
         """Hard-stop: close the pipe and terminate the process."""
-        self.closed = True
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            self.proc.kill()
-            self.proc.join()
+        self.close()
+        self.terminate()
+        self.join(timeout=2.0)
+        self.kill_hard()  # only if SIGTERM was ignored
+        self.join()
 
     def close(self) -> None:
         self.closed = True
@@ -225,6 +227,14 @@ class PipeEndpoint:
             self.conn.close()
         except OSError:
             pass
+
+
+def _pipe_worker(worker_main: Callable, inherited: list, *args) -> None:
+    """Child-side entry of a pipe worker: close the coordinator-side
+    pipe ends inherited through ``fork``, then serve."""
+    for conn in inherited:
+        conn.close()
+    worker_main(*args)
 
 
 class PipeTransport:
@@ -258,9 +268,17 @@ class PipeTransport:
         wid = self._next_wid
         self._next_wid += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # A forked child inherits the coordinator's end of its own pipe
+        # and of every earlier sibling's; it must close them, or its pipe
+        # never reports EOF and it outlives a killed coordinator.
+        inherited = (
+            [parent_conn] + [ep.conn for ep in self._endpoints if not ep.closed]
+            if self._ctx.get_start_method() == "fork" else []
+        )
         proc = self._ctx.Process(
-            target=self._worker_main,
-            args=(wid, child_conn, self._program, self._config),
+            target=_pipe_worker,
+            args=(self._worker_main, inherited, wid, child_conn,
+                  self._program, self._config),
             daemon=True,
             name=f"repro-cluster-w{wid}",
         )
@@ -312,7 +330,7 @@ class PipeTransport:
 # ----------------------------------------------------------------------
 
 
-class TcpEndpoint:
+class TcpEndpoint(_ProcessSignals):
     """A worker reached over a framed TCP connection.
 
     May be *local* (spawned by the coordinator, ``proc`` set) or
@@ -364,18 +382,6 @@ class TcpEndpoint:
             self.send(None)
         except (EndpointDown, TransportError):
             pass
-
-    def terminate(self) -> None:
-        if self.proc is not None and self.proc.is_alive():
-            self.proc.terminate()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self.proc is not None:
-            self.proc.join(timeout=timeout)
-
-    def kill_hard(self) -> None:
-        if self.proc is not None and self.proc.is_alive():
-            self.proc.kill()
 
     def kill(self) -> None:
         """Sever trust: close the connection, keep the process (if any)

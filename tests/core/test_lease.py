@@ -160,6 +160,16 @@ class TestRevocation:
         table.grant(task(2), wid=5)
         assert sorted(l.key for l in table.owned_by(5)) == [(1,), (2,)]
 
+    def test_owned_by_and_revoke_worker_keep_grant_order(self):
+        """The coordinator blames a dead worker's *first* owed lease."""
+        table = LeaseTable(duration=None)
+        for prefix in (3, 1, 2):
+            table.grant(task(prefix), wid=5)
+        table.grant(task(9), wid=6)
+        table.grant(task(3), wid=5)  # a re-grant moves to the back
+        assert [l.key for l in table.owned_by(5)] == [(1,), (2,), (3,)]
+        assert [l.key for l in table.revoke_worker(5)] == [(1,), (2,), (3,)]
+
 
 class TestValidation:
     def test_rejects_nonpositive_duration(self):
