@@ -253,6 +253,7 @@ class MachineEngine:
                 reason.value: count for reason, count in vmcs.exit_counts.items()
             },
             "guest_instructions": vmcs.guest_instructions,
+            "blocks_translated": self.stepper.blocks_translated,
             **snapshots,
             "frames_live": self.pool.live_frames,
             "frames_peak": self.pool.peak_live_frames,

@@ -72,8 +72,7 @@ class ParallelMachineEngine:
         self.registry = MetricsRegistry("parallel-engine")
         self.manager = SnapshotManager(self.pool, registry=self.registry)
         self.max_solutions = max_solutions
-        icache: dict = {}
-        self.vcpus = [VCpu(cpu_id=i, icache=icache) for i in range(workers)]
+        self.vcpus = [VCpu(cpu_id=i) for i in range(workers)]
         self.stepper = Stepper(
             self.libos, self.pool, self.vcpus[0], strategy,
             manager=self.manager,

@@ -40,6 +40,7 @@ from typing import Callable, Optional, Union
 
 from repro.core.errors import GuessError, ReplayDivergenceError
 from repro.core.result import SearchStats, Solution
+from repro.cpu.translate import CodeCache
 from repro.libos.libos import ExecState, LibOS
 from repro.libos.syscalls import (
     ContinueAction,
@@ -187,16 +188,33 @@ class Stepper:
         self.replayed = 0
         #: The search in progress (see :meth:`begin`).
         self.program = None
+        #: The decode and block caches of ``program``, shared by every
+        #: vCPU and restore that runs it.
+        self.code: Optional[CodeCache] = None
+        self._translated_at_begin = 0
         self.stats: Optional[SearchStats] = None
         self.solutions: list[Solution] = []
         self._locked = False
 
     def begin(self, program, stats: SearchStats) -> None:
-        """Start a search of *program*, counting into *stats*."""
+        """Start a search of *program*, counting into *stats*.
+
+        The code cache is kept while the program object stays the same
+        (a cluster worker's tasks) and replaced when it changes, so no
+        translation outlives its program.
+        """
+        if program is not self.program:
+            self.code = CodeCache()
+        self._translated_at_begin = self.code.translated
         self.program = program
         self.stats = stats
         self.solutions = []
         self._locked = False
+
+    @property
+    def blocks_translated(self) -> int:
+        """Blocks compiled since :meth:`begin`."""
+        return self.code.translated - self._translated_at_begin
 
     # -- starting runs -------------------------------------------------
 
@@ -250,7 +268,7 @@ class Stepper:
             limit = budget - p.steps
             if quantum is not None and quantum < limit:
                 limit = quantum
-            vcpu.attach(p.state.space)
+            vcpu.attach(p.state.space, self.code)
             exit_event = vcpu.enter(max_steps=limit if limit > 1 else 1)
             steps = exit_event.steps
             p.steps += steps

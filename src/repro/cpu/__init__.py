@@ -10,9 +10,13 @@ spaces — so guest code takes real COW page faults.
   a snapshot together with the address space).
 * :mod:`repro.cpu.isa` -- opcode definitions and encoding layout.
 * :mod:`repro.cpu.assembler` -- text assembly -> :class:`Program`.
-* :mod:`repro.cpu.interpreter` -- fetch/decode/execute with a decode
-  cache; stops with typed :class:`CpuExit` events (syscall, halt, fault,
-  step budget) that the VMM layer turns into VM exits.
+* :mod:`repro.cpu.translate` -- each opcode's semantics as a source
+  template, and the per-program cache of decoded instructions and basic
+  blocks compiled from them.
+* :mod:`repro.cpu.interpreter` -- fetch/decode and the dispatch loop
+  over translated blocks; stops with typed :class:`CpuExit` events
+  (syscall, halt, fault, step budget) that the VMM layer turns into VM
+  exits.
 """
 
 from repro.cpu.assembler import AssemblyError, Program, assemble

@@ -9,9 +9,20 @@ Execution proceeds until a *CPU exit*: a ``syscall`` or ``hlt``
 instruction, an unresolvable fault, or the step budget.  The VMM layer
 (:mod:`repro.vmm`) wraps these in VM exits for the libOS.
 
-A decode cache (rip -> decoded tuple) makes re-execution cheap.  It stays
-valid across snapshot restore because .text is mapped read-execute: guest
-code physically cannot modify itself without taking a protection fault.
+Instructions are not dispatched one at a time.  :meth:`Interpreter.run`
+runs basic blocks that :mod:`repro.cpu.translate` compiled once into
+Python functions, and steps through one-instruction blocks only for
+:meth:`Interpreter.step`, for code it has not executed before and for
+the tail of a step budget (a block runs only when it fits).  The decode
+and block caches are a :class:`~repro.cpu.translate.CodeCache` that
+belongs to the program being run.  It stays valid across snapshot
+restore because .text is mapped read-execute: guest code physically
+cannot modify itself without taking a protection fault.
+
+Exits are exact at instruction granularity: a fault inside a block
+reports the faulting instruction's rip and counts it as a step, a decode
+or fetch fault counts no step, and every MMU access happens in the same
+order as one instruction at a time.
 """
 
 from __future__ import annotations
@@ -21,15 +32,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cpu import isa
-from repro.cpu.registers import MASK64, RegisterFile
+from repro.cpu.registers import RegisterFile
+from repro.cpu.translate import BlockFault, CodeCache, DivideError
 from repro.mem.addrspace import AddressSpace
 from repro.mem.faults import PageFaultError
 
-_SIGN_BIT = 1 << 63
-
-
-class DivideError(Exception):
-    """Guest divided by zero (#DE)."""
+__all__ = [
+    "CpuExit",
+    "DivideError",
+    "ExitReason",
+    "Interpreter",
+    "InvalidOpcodeError",
+]
 
 
 class InvalidOpcodeError(Exception):
@@ -59,11 +73,6 @@ class CpuExit:
     fault: Optional[Exception] = None
 
 
-def _signed(value: int) -> int:
-    """Reinterpret an unsigned 64-bit value as signed."""
-    return value - (1 << 64) if value & _SIGN_BIT else value
-
-
 class Interpreter:
     """Executes decoded instructions over an address space.
 
@@ -74,26 +83,31 @@ class Interpreter:
         the scheduler restores a snapshot).
     regs:
         The mutable register file (default: fresh zeroed file).
-    icache:
-        Optional shared decode cache.  The machine engine passes one
-        cache across all snapshot restores of the same program.
+    code:
+        The decode and block caches of the program being run (default: a
+        fresh cache).  Engines pass one per program, shared by every vCPU
+        and snapshot restore that runs it.
     """
 
     def __init__(
         self,
         space: AddressSpace,
         regs: Optional[RegisterFile] = None,
-        icache: Optional[dict] = None,
+        code: Optional[CodeCache] = None,
     ):
         self.space = space
         self.regs = regs if regs is not None else RegisterFile()
-        self._icache: dict[int, tuple] = icache if icache is not None else {}
+        self.code = code if code is not None else CodeCache()
         #: Total instructions executed over this interpreter's lifetime.
         self.instructions_executed = 0
 
-    def attach_space(self, space: AddressSpace) -> None:
-        """Point the CPU at a different address space (snapshot restore)."""
+    def attach_space(self, space: AddressSpace,
+                     code: Optional[CodeCache] = None) -> None:
+        """Point the CPU at a different address space (snapshot restore),
+        and at *code* when given (a different program)."""
         self.space = space
+        if code is not None:
+            self.code = code
 
     # ------------------------------------------------------------------
     # Decode
@@ -138,7 +152,7 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def step(self) -> CpuExit:
-        """Execute exactly one instruction (slow path, used in tests)."""
+        """Execute exactly one instruction (a one-instruction block)."""
         return self.run(max_steps=1)
 
     def run(self, max_steps: Optional[int] = None) -> CpuExit:
@@ -146,236 +160,50 @@ class Interpreter:
         regs = self.regs
         g = regs.gprs
         space = self.space
-        icache = self._icache
+        code = self.code
+        blocks = code.blocks
+        fallback = code.fallback
+        decode = self._decode
         read_word = space.read_word
         write_word = space.write_word
         read_byte = space.read_byte
         write_byte = space.write_byte
         rip = regs.rip
         zf, sf, cf, of = regs.zf, regs.sf, regs.cf, regs.of
-        steps = 0
-        budget = max_steps if max_steps is not None else -1
-
-        def sync_out() -> None:
-            regs.rip = rip
-            regs.zf, regs.sf, regs.cf, regs.of = zf, sf, cf, of
-            self.instructions_executed += steps
-
-        I = isa
+        budget = max_steps if max_steps is not None and max_steps >= 0 else _UNBOUNDED
+        left = budget
+        reason = ExitReason.STEP_LIMIT
+        fault: Optional[Exception] = None
         try:
-            while True:
-                if steps == budget:
-                    sync_out()
-                    return CpuExit(ExitReason.STEP_LIMIT, steps)
-                d = icache.get(rip)
-                if d is None:
-                    d = self._decode(rip)
-                    icache[rip] = d
-                op = d[0]
-                steps += 1
+            while left:
+                block = blocks.get(rip)
+                if block is None or block[0] > left:
+                    # A decode or fetch fault here counts no step.
+                    block = fallback(rip, left, decode)
+                n, run_block, stop, _ = block
+                rip, zf, sf, cf, of = run_block(
+                    g, zf, sf, cf, of, read_word, write_word, read_byte, write_byte
+                )
+                left -= n
+                if stop:
+                    reason = _STOP_REASONS[stop]
+                    break
+        except BlockFault as bf:
+            # The faulting instruction counts as a step; rip points at it.
+            left -= bf.at + 1
+            rip = block[3][bf.at]
+            zf, sf, cf, of = bf.flags
+            reason, fault = ExitReason.FAULT, bf.fault
+        except (PageFaultError, InvalidOpcodeError) as exc:
+            reason, fault = ExitReason.FAULT, exc
+        regs.rip = rip
+        regs.zf, regs.sf, regs.cf, regs.of = zf, sf, cf, of
+        steps = budget - left
+        self.instructions_executed += steps
+        return CpuExit(reason, steps, fault=fault)
 
-                if op == I.MOVI:
-                    g[d[1]] = d[2]
-                    rip = d[3]
-                elif op == I.MOVR:
-                    g[d[1]] = g[d[2]]
-                    rip = d[3]
-                elif op == I.LOAD:
-                    g[d[1]] = read_word((g[d[2]] + d[3]) & MASK64)
-                    rip = d[4]
-                elif op == I.STORE:
-                    write_word((g[d[1]] + d[2]) & MASK64, g[d[3]])
-                    rip = d[4]
-                elif op == I.LOADB:
-                    g[d[1]] = read_byte((g[d[2]] + d[3]) & MASK64)
-                    rip = d[4]
-                elif op == I.STOREB:
-                    write_byte((g[d[1]] + d[2]) & MASK64, g[d[3]])
-                    rip = d[4]
-                elif op == I.LOADX:
-                    addr = (g[d[2]] + g[d[3]] * d[4] + d[5]) & MASK64
-                    g[d[1]] = read_word(addr)
-                    rip = d[6]
-                elif op == I.STOREX:
-                    addr = (g[d[1]] + g[d[2]] * d[3] + d[4]) & MASK64
-                    write_word(addr, g[d[5]])
-                    rip = d[6]
-                elif op == I.LOADBX:
-                    addr = (g[d[2]] + g[d[3]] * d[4] + d[5]) & MASK64
-                    g[d[1]] = read_byte(addr)
-                    rip = d[6]
-                elif op == I.STOREBX:
-                    addr = (g[d[1]] + g[d[2]] * d[3] + d[4]) & MASK64
-                    write_byte(addr, g[d[5]])
-                    rip = d[6]
-                elif op == I.LEA:
-                    g[d[1]] = (g[d[2]] + d[3]) & MASK64
-                    rip = d[4]
-                elif op == I.LEAX:
-                    g[d[1]] = (g[d[2]] + g[d[3]] * d[4] + d[5]) & MASK64
-                    rip = d[6]
 
-                elif op == I.ADDRR or op == I.ADDRI:
-                    a = g[d[1]]
-                    b = g[d[2]] if op == I.ADDRR else d[2] & MASK64
-                    full = a + b
-                    res = full & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = full > MASK64
-                    of = bool(~(a ^ b) & (a ^ res) & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.SUBRR or op == I.SUBRI:
-                    a = g[d[1]]
-                    b = g[d[2]] if op == I.SUBRR else d[2] & MASK64
-                    res = (a - b) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = a < b
-                    of = bool((a ^ b) & (a ^ res) & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.CMPRR or op == I.CMPRI:
-                    a = g[d[1]]
-                    b = g[d[2]] if op == I.CMPRR else d[2] & MASK64
-                    res = (a - b) & MASK64
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = a < b
-                    of = bool((a ^ b) & (a ^ res) & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.TESTRR:
-                    res = g[d[1]] & g[d[2]]
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.IMULRR or op == I.IMULRI:
-                    a = _signed(g[d[1]])
-                    b = _signed(g[d[2]]) if op == I.IMULRR else d[2]
-                    res = (a * b) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.ANDRR or op == I.ANDRI:
-                    res = g[d[1]] & (g[d[2]] if op == I.ANDRR else d[2] & MASK64)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.ORRR or op == I.ORRI:
-                    res = g[d[1]] | (g[d[2]] if op == I.ORRR else d[2] & MASK64)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.XORRR or op == I.XORRI:
-                    res = g[d[1]] ^ (g[d[2]] if op == I.XORRR else d[2] & MASK64)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.SHLI:
-                    res = (g[d[1]] << (d[2] & 63)) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.SHRI:
-                    res = g[d[1]] >> (d[2] & 63)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.NEG:
-                    res = (-g[d[1]]) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = res != 0
-                    rip = d[2]
-                elif op == I.NOT:
-                    g[d[1]] = g[d[1]] ^ MASK64
-                    rip = d[2]
-                elif op == I.INC:
-                    res = (g[d[1]] + 1) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[2]
-                elif op == I.DEC:
-                    res = (g[d[1]] - 1) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[2]
-                elif op == I.UDIVRR or op == I.UMODRR:
-                    divisor = g[d[2]]
-                    if divisor == 0:
-                        raise DivideError(f"division by zero at {rip:#x}")
-                    if op == I.UDIVRR:
-                        g[d[1]] = g[d[1]] // divisor
-                    else:
-                        g[d[1]] = g[d[1]] % divisor
-                    rip = d[3]
+#: Effectively no step budget (``max_steps`` None or negative).
+_UNBOUNDED = 1 << 62
 
-                elif op == I.JMP:
-                    rip = d[1]
-                elif op == I.JE:
-                    rip = d[1] if zf else d[2]
-                elif op == I.JNE:
-                    rip = d[2] if zf else d[1]
-                elif op == I.JL:
-                    rip = d[1] if sf != of else d[2]
-                elif op == I.JLE:
-                    rip = d[1] if zf or sf != of else d[2]
-                elif op == I.JG:
-                    rip = d[1] if not zf and sf == of else d[2]
-                elif op == I.JGE:
-                    rip = d[1] if sf == of else d[2]
-                elif op == I.JB:
-                    rip = d[1] if cf else d[2]
-                elif op == I.JAE:
-                    rip = d[2] if cf else d[1]
-
-                elif op == I.CALL:
-                    rsp = (g[4] - 8) & MASK64
-                    write_word(rsp, d[2])  # return address
-                    g[4] = rsp
-                    rip = d[1]
-                elif op == I.RET:
-                    rsp = g[4]
-                    rip = read_word(rsp)
-                    g[4] = (rsp + 8) & MASK64
-                elif op == I.PUSH:
-                    rsp = (g[4] - 8) & MASK64
-                    write_word(rsp, g[d[1]])
-                    g[4] = rsp
-                    rip = d[2]
-                elif op == I.POP:
-                    rsp = g[4]
-                    g[d[1]] = read_word(rsp)
-                    g[4] = (rsp + 8) & MASK64
-                    rip = d[2]
-
-                elif op == I.NOP:
-                    rip = d[1]
-                elif op == I.SYSCALL:
-                    rip = d[1]  # resume after the syscall instruction
-                    sync_out()
-                    return CpuExit(ExitReason.SYSCALL, steps)
-                elif op == I.HLT:
-                    rip = d[1]
-                    sync_out()
-                    return CpuExit(ExitReason.HLT, steps)
-                else:  # pragma: no cover - table and executor kept in sync
-                    raise InvalidOpcodeError(rip, op)
-        except (PageFaultError, DivideError, InvalidOpcodeError) as fault:
-            # rip still points at the faulting instruction.
-            sync_out()
-            return CpuExit(ExitReason.FAULT, steps, fault=fault)
+_STOP_REASONS = {isa.SYSCALL: ExitReason.SYSCALL, isa.HLT: ExitReason.HLT}

@@ -217,10 +217,11 @@ class AddressSpace:
         faults the memory subsystem cannot resolve.
         """
         write = access is AccessKind.WRITE
+        needed = _NEEDED_PERM[access]
         entry = self.tlb.lookup(vpn)
         if (
             entry is not None
-            and entry.perms & _NEEDED_PERM[access]
+            and entry.perms & needed
             and (not write or entry.writable)
         ):
             return entry.frame
@@ -228,13 +229,13 @@ class AddressSpace:
         if pte is None:
             self.faults.hard_faults += 1
             raise NotMappedError(vpn << PAGE_SHIFT, access)
-        needed = _NEEDED_PERM[access]
-        if not (pte.perms & needed):
+        perms = int(pte.perms)
+        if not (perms & needed):
             self.faults.hard_faults += 1
             raise ProtectionError(
                 vpn << PAGE_SHIFT,
                 access,
-                f"page perms {pte.perms!r} lack {needed!r}",
+                f"page perms {pte.perms!r} lack {Permission(needed)!r}",
             )
         if write:
             # Sharing is tracked at *node* granularity (a snapshot shares
@@ -261,9 +262,9 @@ class AddressSpace:
             # Only a write that ran make_private may cache writability:
             # the read path cannot tell a node-shared frame from an
             # exclusive one.
-            self.tlb.insert(vpn, TLBEntry(pte.frame, pte.perms, True))
+            self.tlb.insert(vpn, TLBEntry(pte.frame, perms, True))
         else:
-            self.tlb.insert(vpn, TLBEntry(pte.frame, pte.perms, False))
+            self.tlb.insert(vpn, TLBEntry(pte.frame, perms, False))
         return pte.frame
 
     def translate(self, addr: int, access: AccessKind = AccessKind.READ) -> Frame:
@@ -316,7 +317,8 @@ class AddressSpace:
     #
     # These keep the simulator usable at millions of guest memory
     # accesses: a TLB hit costs one dict lookup and one slice, skipping
-    # the generic span loop and enum permission arithmetic.
+    # the generic span loop; TLB entries hold permission bits as a plain
+    # int, so no check on this path does enum arithmetic.
 
     def read_word(self, addr: int) -> int:
         """Fast 64-bit little-endian load (falls back across pages)."""
@@ -324,7 +326,7 @@ class AddressSpace:
         if off <= PAGE_SIZE - 8:
             vpn = addr >> PAGE_SHIFT
             entry = self.tlb._entries.get(vpn)
-            if entry is not None and entry.perms.value & 1:
+            if entry is not None and entry.perms & 1:
                 self.tlb.stats.hits += 1
                 data = entry.frame.data
                 return int.from_bytes(data[off : off + 8], "little")
@@ -351,7 +353,7 @@ class AddressSpace:
         """Fast byte load."""
         vpn = addr >> PAGE_SHIFT
         entry = self.tlb._entries.get(vpn)
-        if entry is not None and entry.perms.value & 1:
+        if entry is not None and entry.perms & 1:
             self.tlb.stats.hits += 1
             return entry.frame.data[addr & PAGE_MASK]
         return self._frame_for(vpn, AccessKind.READ).data[addr & PAGE_MASK]
@@ -489,10 +491,12 @@ class AddressSpace:
         )
 
 
+#: The permission bit each access needs, as a plain int (``IntFlag``
+#: arithmetic costs about a microsecond per operation).
 _NEEDED_PERM = {
-    AccessKind.READ: Permission.READ,
-    AccessKind.WRITE: Permission.WRITE,
-    AccessKind.EXECUTE: Permission.EXEC,
+    AccessKind.READ: int(Permission.READ),
+    AccessKind.WRITE: int(Permission.WRITE),
+    AccessKind.EXECUTE: int(Permission.EXEC),
 }
 
 MASK64_ = (1 << 64) - 1

@@ -21,16 +21,18 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from repro.mem.frames import Frame
-from repro.mem.pagetable import Permission
 
 
 class TLBEntry(NamedTuple):
     """A cached translation: the frame and the permissions it was cached
-    under.  ``writable`` is False for pages that must COW-fault on write
-    even though their PTE says WRITE (i.e. shared frames)."""
+    under.  ``perms`` is the plain-int value of a
+    :class:`~repro.mem.pagetable.Permission`, so the access checks on the
+    hit path stay integer arithmetic.  ``writable`` is False for pages
+    that must COW-fault on write even though their PTE says WRITE (i.e.
+    shared frames)."""
 
     frame: Frame
-    perms: Permission
+    perms: int
     writable: bool
 
 

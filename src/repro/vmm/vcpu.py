@@ -22,6 +22,7 @@ from repro.cpu.interpreter import (
     InvalidOpcodeError,
 )
 from repro.cpu.registers import RegisterFile
+from repro.cpu.translate import CodeCache
 from repro.mem.addrspace import AddressSpace
 from repro.mem.faults import PageFaultError
 
@@ -68,19 +69,21 @@ class Vmcs:
 class VCpu:
     """One virtual CPU running a guest at non-root ring 3."""
 
-    def __init__(self, cpu_id: int = 0, icache: Optional[dict] = None):
+    def __init__(self, cpu_id: int = 0):
         self.cpu_id = cpu_id
         self.vmcs = Vmcs()
         self.regs = RegisterFile()
-        self._icache: dict = icache if icache is not None else {}
         self._interp: Optional[Interpreter] = None
 
-    def attach(self, space: AddressSpace) -> None:
-        """Point the vCPU at a guest address space (e.g. after restore)."""
+    def attach(self, space: AddressSpace,
+               code: Optional[CodeCache] = None) -> None:
+        """Point the vCPU at a guest address space (e.g. after restore)
+        and at the code cache of the program it holds.  Without *code*
+        the vCPU keeps its current cache (a private one at first)."""
         if self._interp is None:
-            self._interp = Interpreter(space, self.regs, self._icache)
+            self._interp = Interpreter(space, self.regs, code)
         else:
-            self._interp.attach_space(space)
+            self._interp.attach_space(space, code)
 
     @property
     def space(self) -> AddressSpace:

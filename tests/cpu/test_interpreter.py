@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.cpu import Interpreter, assemble
 from repro.cpu.interpreter import DivideError, ExitReason, InvalidOpcodeError
-from repro.cpu.registers import MASK64
+from repro.cpu.registers import MASK64, FrozenRegisters
 from repro.mem.faults import PageFaultError
 from repro.mem.layout import DATA_BASE
 
-from tests.cpu.conftest import run_asm
+from tests.cpu.conftest import load, run_asm
 
 
 def final(source, reg="rax", **kw):
@@ -326,3 +327,113 @@ class TestCowIntegration:
         assert again.reason is ExitReason.HLT
         assert replay_space.read_u64(0x600000) == 222
         assert snap_space.read_u64(0x600000) == 111
+
+
+# -- flag exactness at edge operands -------------------------------------
+
+_SIGN = 1 << 63
+_EDGES = (0, 1, _SIGN - 1, _SIGN, MASK64)
+#: Immediates are sign-extended imm32: the edges that encode, plus the
+#: imm32 extremes.
+_IMM_EDGES = (0, 1, -1, 2**31 - 1, -(2**31))
+_SHIFTS = (0, 1, 63, 64, -1)
+
+
+def _s(value):
+    return value - (1 << 64) if value & _SIGN else value
+
+
+def _zs(res):
+    return {"zf": res == 0, "sf": res >= _SIGN}
+
+
+def _fits(value):
+    return -_SIGN <= value < _SIGN
+
+
+def _spec(mnemonic, a, b):
+    """(result or None for CMP/TEST, the flags the op sets) in terms of
+    unsigned and signed arithmetic on unbounded ints."""
+    if mnemonic in ("add", "sub", "cmp"):
+        full = a + b if mnemonic == "add" else a - b
+        signed = _s(a) + _s(b) if mnemonic == "add" else _s(a) - _s(b)
+        res = full % (1 << 64)
+        return (None if mnemonic == "cmp" else res), {
+            **_zs(res), "cf": not 0 <= full <= MASK64, "of": not _fits(signed),
+        }
+    if mnemonic in ("and", "or", "xor", "test"):
+        res = {"and": a & b, "test": a & b, "or": a | b, "xor": a ^ b}[mnemonic]
+        return (None if mnemonic == "test" else res), {
+            **_zs(res), "cf": False, "of": False,
+        }
+    if mnemonic == "imul":
+        res = (_s(a) * _s(b)) % (1 << 64)
+        return res, _zs(res)
+    if mnemonic == "shl":
+        res = (a << (b % 64)) % (1 << 64)
+        return res, _zs(res)
+    if mnemonic == "shr":
+        res = a >> (b % 64)
+        return res, _zs(res)
+    if mnemonic == "neg":
+        res = -a % (1 << 64)
+        return res, {**_zs(res), "cf": a != 0}
+    res = (a + (1 if mnemonic == "inc" else -1)) % (1 << 64)
+    return res, _zs(res)
+
+
+def _run_flags(body, before):
+    """Run *body* (then hlt) from flags *before*, twice: the first run
+    single-steps fresh code, the second runs it as one translated block.
+    Both must agree; returns (rax, flags)."""
+    program = assemble(body + "\nhlt")
+    space = load(program)
+    cpu = Interpreter(space)
+    results = []
+    for _ in range(2):
+        cpu.regs.load(FrozenRegisters((0,) * 16, program.entry, *before))
+        assert cpu.run().reason is ExitReason.HLT
+        regs = cpu.regs
+        results.append((regs.rax, dict(zf=regs.zf, sf=regs.sf, cf=regs.cf,
+                                       of=regs.of)))
+    assert max(block[0] for block in cpu.code.blocks.values()) > 1
+    assert results[0] == results[1]
+    return results[0]
+
+
+_FLAG_OPS = [
+    ("add", "rr"), ("add", "ri"), ("sub", "rr"), ("sub", "ri"),
+    ("cmp", "rr"), ("cmp", "ri"), ("test", "rr"), ("imul", "rr"),
+    ("imul", "ri"), ("and", "rr"), ("and", "ri"), ("or", "rr"),
+    ("or", "ri"), ("xor", "rr"), ("xor", "ri"), ("shl", "ri"),
+    ("shr", "ri"), ("neg", "r"), ("inc", "r"), ("dec", "r"),
+]
+
+
+@pytest.mark.parametrize("mnemonic,form", _FLAG_OPS)
+def test_flags_at_edge_operands(mnemonic, form):
+    if form == "r":
+        cases = [(a, None) for a in _EDGES]
+    elif form == "rr":
+        cases = [(a, b) for a in _EDGES for b in _EDGES]
+    else:
+        imms = _SHIFTS if mnemonic in ("shl", "shr") else _IMM_EDGES
+        cases = [(a, b) for a in _EDGES for b in imms]
+    for a, b in cases:
+        if form == "r":
+            body = f"mov rax, {a}\n{mnemonic} rax"
+        elif form == "rr":
+            body = f"mov rax, {a}\nmov rbx, {b}\n{mnemonic} rax, rbx"
+        else:
+            body = f"mov rax, {a}\n{mnemonic} rax, {b}"
+        # Immediates are sign-extended to 64 bits (shift counts are not
+        # extended beyond the count's low six bits, so either view holds).
+        operand = None if b is None else b % (1 << 64)
+        want_rax, want_flags = _spec(mnemonic, a, operand)
+        if want_rax is None:
+            want_rax = a
+        for before in ((False,) * 4, (True,) * 4):
+            rax, flags = _run_flags(body, before)
+            expected = dict(zip(("zf", "sf", "cf", "of"), before))
+            expected.update(want_flags)
+            assert (rax, flags) == (want_rax, expected), (body, before)
